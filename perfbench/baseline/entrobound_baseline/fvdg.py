@@ -1,0 +1,403 @@
+"""Saturation structure of the Fuchs-van de Graaf inequalities.
+
+Which rank-1 projective measurements preserve the trace distance (eigenbases
+of ``rho - sigma``) or the fidelity (eigenbases of ``M = rho^{-1} # sigma``,
+for invertible pairs), which classical pairs saturate either classical
+inequality, and the resulting exact classifier: an invertible pair saturates
+the lower inequality iff the states are equal, and the upper one iff
+``spec(M) = {c, 1/c}`` with ``M`` commuting with ``rho - sigma``.
+
+Noninvertible pairs are classified by gap residuals only and flagged as such;
+no structural verdict is fabricated for them.  The delta-perturbation
+diagnostics at the end probe how close a measurement comes to the skewed
+eigenvalue condition that fidelity preservation forces in the singular limit.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import linalg
+from .errors import DimensionMismatchError, InvalidDeltaError, NotInvertibleError, OutOfRangeError
+from .metrics import (
+    DistanceTriple,
+    Rank1Measurement,
+    distance_triple,
+    make_measurement,
+)
+from .states import ClassicalDist, DensityOperator
+
+# Kernel membership: ||P e|| <= KERNEL_TOL * ||P||^{1/2} (scales with the operator).
+KERNEL_TOL = 1e-8
+# Eigenvector membership residual for fidelity-optimal bases.
+EIGENVECTOR_TOL = 1e-8
+# Probability comparisons in the classical saturation classes.
+CLASSICAL_TOL = 1e-9
+# Relative clustering of spec(M) and the c * (1/c) = 1 consistency check.
+SPECTRAL_CLUSTER_TOL = 1e-7
+COMMUTATOR_TOL = 1e-7
+# Matrix-equality threshold for the Equal verdict.
+EQUAL_TOL = 1e-10
+# Gap threshold for residual-only classification of noninvertible pairs.
+RESIDUAL_GAP_TOL = 1e-8
+# Terms and phases in the pure-state characterization.
+PURE_TERM_TOL = 1e-10
+PURE_PHASE_TOL = 1e-4
+
+
+class PairClass(enum.Enum):
+    EQUAL = "Equal"
+    LOWER_SATURATED = "LowerSaturated"
+    UPPER_SATURATED = "UpperSaturated"
+    NEITHER_SATURATED = "NeitherSaturated"
+
+
+class SaturationClass(enum.Enum):
+    C1 = "C1"
+    C2 = "C2"
+    BOTH = "Both"
+    NEITHER = "Neither"
+
+
+@dataclass(frozen=True, eq=False)
+class SaturationReport:
+    """Verdict on which inequality a pair saturates, with witnessing data."""
+
+    pair_class: PairClass
+    invertible: bool
+    m: np.ndarray | None
+    spectrum_of_m: np.ndarray
+    commutator_residual: float
+    c_value: float | None
+    distances: DistanceTriple
+    lower_gap: float
+    upper_gap: float
+
+    def to_json(self) -> dict:
+        return {
+            "class": self.pair_class.value,
+            "invertible": self.invertible,
+            "c": None if self.c_value is None else float(self.c_value),
+            "spectrum_m": [float(x) for x in self.spectrum_of_m],
+            "commutator_residual": float(self.commutator_residual),
+            "lower_gap": float(self.lower_gap),
+            "upper_gap": float(self.upper_gap),
+        }
+
+
+@dataclass(frozen=True, eq=False)
+class PerturbationTrace:
+    """Skewed-eigenvalue diagnostics on a descending delta grid.
+
+    ``mu_values[i, x]`` and ``residuals[i, x]`` hold, for ``deltas[i]`` and
+    basis vector x, the ratio ``mu = tr(B† A) / ||B||^2`` and the residual
+    ``|| sqrt(rho_d) (M_d - |mu| I) e_x ||``; columns with ``e_x`` in the
+    kernel of rho are NaN.  Norms of ``M_d`` are reported per delta without
+    any convergence claim (the limit may diverge).
+    """
+
+    deltas: tuple[float, ...]
+    m_delta_norms: tuple[float, ...]
+    mu_values: np.ndarray
+    residuals: np.ndarray
+
+
+def _check_pair(rho: DensityOperator, sigma: DensityOperator) -> None:
+    if rho.dim != sigma.dim:
+        raise DimensionMismatchError(f"dims {rho.dim} vs {sigma.dim}")
+
+
+def trace_optimal_measurements(rho: DensityOperator, sigma: DensityOperator) -> Rank1Measurement:
+    """An eigenbasis of ``rho - sigma``; always achieves ``T_c = T``."""
+    _check_pair(rho, sigma)
+    dec = linalg.eig_hermitian(rho.matrix - sigma.matrix)
+    return make_measurement(dec.eigenvectors)
+
+
+def _kernel_tolerance(part: np.ndarray) -> float:
+    op_norm = float(np.max(np.abs(np.linalg.eigvalsh(part))))
+    return KERNEL_TOL * np.sqrt(op_norm)
+
+
+def is_trace_optimal(
+    measurement: Rank1Measurement, rho: DensityOperator, sigma: DensityOperator
+) -> bool:
+    """True iff every basis vector lies in ``ker P`` or ``ker Q``.
+
+    ``P, Q`` are the positive and negative parts of ``rho - sigma``; this is
+    exactly the membership test for the trace-distance-preserving set.
+    """
+    _check_pair(rho, sigma)
+    if measurement.dim != rho.dim:
+        raise DimensionMismatchError(f"basis dim {measurement.dim} vs {rho.dim}")
+    p_part, q_part = linalg.positive_negative_parts(rho.matrix - sigma.matrix)
+    p_norms = np.linalg.norm(p_part @ measurement.basis, axis=0)
+    q_norms = np.linalg.norm(q_part @ measurement.basis, axis=0)
+    return bool(
+        np.all((p_norms <= _kernel_tolerance(p_part)) | (q_norms <= _kernel_tolerance(q_part)))
+    )
+
+
+def _require_invertible_pair(rho: DensityOperator, sigma: DensityOperator) -> None:
+    if not rho.is_invertible() or not sigma.is_invertible():
+        raise NotInvertibleError(
+            "both states must be invertible; use the pure-state or perturbation path"
+        )
+
+
+def fidelity_optimal_measurement(
+    rho: DensityOperator, sigma: DensityOperator
+) -> Rank1Measurement:
+    """An eigenbasis of ``M = rho^{-1} # sigma``; achieves ``F_c = F``."""
+    _check_pair(rho, sigma)
+    _require_invertible_pair(rho, sigma)
+    dec = linalg.eig_hermitian(linalg.m_operator(rho.matrix, sigma.matrix))
+    return make_measurement(dec.eigenvectors)
+
+
+def is_fidelity_optimal(
+    measurement: Rank1Measurement, rho: DensityOperator, sigma: DensityOperator
+) -> bool:
+    """True iff every basis vector is an eigenvector of ``M`` within tolerance."""
+    _check_pair(rho, sigma)
+    if measurement.dim != rho.dim:
+        raise DimensionMismatchError(f"basis dim {measurement.dim} vs {rho.dim}")
+    _require_invertible_pair(rho, sigma)
+    m = linalg.m_operator(rho.matrix, sigma.matrix)
+    b = measurement.basis
+    mb = m @ b
+    rayleigh = np.einsum("ix,ix->x", b.conj(), mb)
+    residuals = np.linalg.norm(mb - b * rayleigh, axis=0)
+    return bool(np.all(residuals <= EIGENVECTOR_TOL))
+
+
+def classical_saturation_class(p: ClassicalDist, q: ClassicalDist) -> SaturationClass:
+    """Which classical Fuchs-van de Graaf inequalities the pair saturates.
+
+    C1 (lower): pointwise ``p = q`` or one of them vanishes.  C2 (upper):
+    equal distributions, disjoint supports, or a common ratio pair
+    ``q/p in {b, 1/b}`` for some b in (0, 1).
+    """
+    if p.size != q.size:
+        raise DimensionMismatchError(f"alphabets {p.size} vs {q.size}")
+    pa, qa = p.probs, q.probs
+    c1 = bool(
+        np.all((np.abs(pa - qa) <= CLASSICAL_TOL) | (pa <= CLASSICAL_TOL) | (qa <= CLASSICAL_TOL))
+    )
+    c2 = _saturates_c2(pa, qa)
+    if c1 and c2:
+        return SaturationClass.BOTH
+    if c1:
+        return SaturationClass.C1
+    if c2:
+        return SaturationClass.C2
+    return SaturationClass.NEITHER
+
+
+def _saturates_c2(pa: np.ndarray, qa: np.ndarray) -> bool:
+    if np.all(np.abs(pa - qa) <= CLASSICAL_TOL):
+        return True
+    if np.all(np.minimum(pa, qa) <= CLASSICAL_TOL):
+        return True
+    # Remaining branch requires equal supports and ratios in {b, 1/b}.
+    p_sup = pa > CLASSICAL_TOL
+    q_sup = qa > CLASSICAL_TOL
+    if np.any(p_sup != q_sup):
+        return False
+    ratios = np.sort(qa[p_sup] / pa[p_sup])
+    clusters = _cluster_values(ratios, SPECTRAL_CLUSTER_TOL)
+    if len(clusters) == 1:
+        return abs(clusters[0] - 1.0) <= SPECTRAL_CLUSTER_TOL
+    if len(clusters) == 2:
+        lo, hi = clusters
+        return lo < 1.0 < hi and abs(lo * hi - 1.0) <= SPECTRAL_CLUSTER_TOL
+    return False
+
+
+def _cluster_values(sorted_values: np.ndarray, rel_tol: float) -> list[float]:
+    clusters: list[list[float]] = [[float(sorted_values[0])]]
+    for x in sorted_values[1:]:
+        x = float(x)
+        last = clusters[-1][-1]
+        if x - last <= rel_tol * max(abs(x), abs(last), 1.0):
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return [float(np.mean(c)) for c in clusters]
+
+
+def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationReport:
+    """Classify which Fuchs-van de Graaf inequality a pair saturates.
+
+    Invertible pairs get the exact structural verdict: Equal iff the states
+    coincide (which saturates both sides), UpperSaturated iff ``spec(M)``
+    clusters to ``{c, 1/c}`` and ``[M, rho - sigma] = 0``.  Noninvertible
+    pairs are classified from the gap residuals alone and flagged
+    ``invertible=False`` with M omitted.
+    """
+    _check_pair(rho, sigma)
+    triple = distance_triple(rho, sigma)
+    upper = float(np.sqrt(max(0.0, 1.0 - triple.fidelity**2)))
+    lower_gap = triple.trace_distance - (1.0 - triple.fidelity)
+    upper_gap = upper - triple.trace_distance
+    diff = rho.matrix - sigma.matrix
+    diff_norm = float(np.max(np.abs(diff)))
+    invertible = rho.is_invertible() and sigma.is_invertible()
+
+    if not invertible:
+        if diff_norm <= EQUAL_TOL:
+            cls = PairClass.EQUAL
+        elif abs(upper_gap) <= RESIDUAL_GAP_TOL:
+            cls = PairClass.UPPER_SATURATED
+        elif abs(lower_gap) <= RESIDUAL_GAP_TOL:
+            cls = PairClass.LOWER_SATURATED
+        else:
+            cls = PairClass.NEITHER_SATURATED
+        return SaturationReport(
+            pair_class=cls,
+            invertible=False,
+            m=None,
+            spectrum_of_m=np.array([]),
+            commutator_residual=0.0,
+            c_value=None,
+            distances=triple,
+            lower_gap=lower_gap,
+            upper_gap=upper_gap,
+        )
+
+    m = linalg.m_operator(rho.matrix, sigma.matrix)
+    spectrum = np.linalg.eigvalsh(m)
+    commutator = m @ diff - diff @ m
+    scale = float(np.max(np.abs(m))) * diff_norm
+    residual = float(np.max(np.abs(commutator))) / scale if scale > 0.0 else 0.0
+
+    c_value = None
+    if diff_norm <= EQUAL_TOL:
+        cls = PairClass.EQUAL
+    else:
+        clusters = _cluster_values(np.sort(spectrum), SPECTRAL_CLUSTER_TOL)
+        upper_structure = (
+            len(clusters) == 2
+            and clusters[0] < 1.0 < clusters[1]
+            and abs(clusters[0] * clusters[1] - 1.0) <= SPECTRAL_CLUSTER_TOL
+            and residual <= COMMUTATOR_TOL
+        )
+        if upper_structure:
+            cls = PairClass.UPPER_SATURATED
+            c_value = clusters[0]
+        else:
+            cls = PairClass.NEITHER_SATURATED
+    return SaturationReport(
+        pair_class=cls,
+        invertible=True,
+        m=m,
+        spectrum_of_m=spectrum,
+        commutator_residual=residual,
+        c_value=c_value,
+        distances=triple,
+        lower_gap=lower_gap,
+        upper_gap=upper_gap,
+    )
+
+
+def pure_fidelity_optimal(measurement: Rank1Measurement, rho_vec, sigma_vec) -> bool:
+    """Fidelity preservation test for a pure-state pair.
+
+    True iff the nonzero products ``<rho|e_x><e_x|sigma>`` share one complex
+    phase, i.e. the triangle inequality in ``F <= F_c`` is tight.  Vanishing
+    overlaps are exempt.  For pure states this set is much larger than an
+    eigenbasis family: any basis making both vectors' components real and
+    nonnegative qualifies.
+    """
+    rho_vec = _unit_vector(rho_vec)
+    sigma_vec = _unit_vector(sigma_vec)
+    if measurement.dim != rho_vec.shape[0] or rho_vec.shape != sigma_vec.shape:
+        raise DimensionMismatchError(
+            f"dims: basis {measurement.dim}, vectors {rho_vec.shape} vs {sigma_vec.shape}"
+        )
+    overlap_r = measurement.basis.conj().T @ rho_vec
+    overlap_s = measurement.basis.conj().T @ sigma_vec
+    terms = np.conj(overlap_r) * overlap_s
+    mags = np.abs(terms)
+    live = mags > PURE_TERM_TOL
+    if not np.any(live):
+        return True
+    total = np.sum(terms[live])
+    if abs(total) <= PURE_TERM_TOL:
+        return False
+    reference = total / abs(total)
+    deviations = np.abs(np.angle(terms[live] / mags[live] * np.conj(reference)))
+    return bool(np.max(deviations) <= PURE_PHASE_TOL)
+
+
+def _unit_vector(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-8:
+        raise OutOfRangeError(f"expected a unit vector, norm is {norm!r}")
+    return v
+
+
+def perturbation_trace(
+    rho: DensityOperator,
+    sigma: DensityOperator,
+    measurement: Rank1Measurement,
+    deltas,
+) -> PerturbationTrace:
+    """Evaluate the skewed-eigenvalue residuals on a descending delta grid.
+
+    For each delta and each basis vector outside ``ker rho`` this records
+    ``mu = <e| sqrt(sigma_d) U_d sqrt(rho_d) |e> / <e| rho_d |e>`` and the
+    residual ``|| sqrt(rho_d) (M_d - |mu| I) |e> ||``, where ``U_d`` comes
+    from the polar decomposition of ``sqrt(rho_d) sqrt(sigma_d)`` (via SVD).
+    A vanishing residual trend is a necessary signature of fidelity-preserving
+    measurements, not a sufficient one, so no verdict is attached.
+    """
+    _check_pair(rho, sigma)
+    if measurement.dim != rho.dim:
+        raise DimensionMismatchError(f"basis dim {measurement.dim} vs {rho.dim}")
+    deltas = tuple(float(d) for d in deltas)
+    if not deltas or any(not 0.0 < d < 1.0 for d in deltas):
+        raise InvalidDeltaError(f"deltas must lie in (0, 1), got {deltas}")
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise InvalidDeltaError(f"deltas must be strictly descending, got {deltas}")
+
+    d = rho.dim
+    eye = np.eye(d)
+    basis = measurement.basis
+    in_support = np.real(np.einsum("ix,ij,jx->x", basis.conj(), rho.matrix, basis)) > 1e-12
+
+    mu = np.full((len(deltas), d), np.nan, dtype=complex)
+    residuals = np.full((len(deltas), d), np.nan)
+    norms = []
+    for i, delta in enumerate(deltas):
+        rho_d = (1.0 - delta) * rho.matrix + delta * eye / d
+        sigma_d = (1.0 - delta) * sigma.matrix + delta * eye / d
+        sqrt_rho = linalg.mat_sqrt(rho_d)
+        sqrt_sigma = linalg.mat_sqrt(sigma_d)
+        u_mat, _, vh = np.linalg.svd(sqrt_rho @ sqrt_sigma)
+        polar_unitary = vh.conj().T @ u_mat.conj().T
+        m_delta = linalg.m_operator(rho_d, sigma_d)
+        norms.append(float(np.max(np.abs(np.linalg.eigvalsh(m_delta)))))
+        cross = sqrt_sigma @ polar_unitary @ sqrt_rho
+        for x in range(d):
+            if not in_support[x]:
+                continue
+            e = basis[:, x]
+            weight = float(np.real(e.conj() @ rho_d @ e))
+            mu_x = complex(e.conj() @ cross @ e) / weight
+            mu[i, x] = mu_x
+            residuals[i, x] = float(
+                np.linalg.norm(sqrt_rho @ ((m_delta - abs(mu_x) * eye) @ e))
+            )
+    mu.setflags(write=False)
+    residuals.setflags(write=False)
+    return PerturbationTrace(
+        deltas=deltas,
+        m_delta_norms=tuple(norms),
+        mu_values=mu,
+        residuals=residuals,
+    )

@@ -1,0 +1,283 @@
+"""Density operators, quantum-classical states, and their vector reductions.
+
+A quantum-classical (QC) state is block diagonal over a fixed classical basis
+on the B system: ``rho = sum_k alpha_k rho_k (x) |f_k><f_k|``.  All joint
+indices use k (the classical index) as the OUTER index and j (the A index) as
+the inner one, i.e. position ``k * d_A + j``; partial traces follow the same
+convention.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import linalg
+from .errors import (
+    DimensionMismatchError,
+    OutOfRangeError,
+    StateFormatError,
+    TraceNotOneError,
+)
+
+TRACE_TOL = 1e-9
+WEIGHT_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class DensityOperator:
+    """Validated Hermitian PSD unit-trace matrix with cached spectral data."""
+
+    matrix: np.ndarray
+    spectrum: linalg.SpectralDecomposition
+
+    @property
+    def dim(self) -> int:
+        return int(self.matrix.shape[0])
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.spectrum.eigenvalues
+
+    def is_invertible(self) -> bool:
+        """Min eigenvalue strictly above the relative invertibility threshold."""
+        w = self.spectrum.eigenvalues
+        return float(np.min(w)) > linalg.INVERTIBILITY_TOL * float(np.max(w))
+
+
+def make_density(m) -> DensityOperator:
+    """Validate ``m`` as a density operator (Hermitian, PSD, trace 1)."""
+    h = linalg.as_hermitian(m)
+    dec = linalg.eig_hermitian(h)
+    linalg.clamped_psd_eigenvalues(dec.eigenvalues)
+    trace = float(np.sum(dec.eigenvalues))
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL:.0e}")
+    return DensityOperator(h, dec)
+
+
+@dataclass(frozen=True, eq=False)
+class QCState:
+    """QC bipartite state as (weight, conditional density) blocks."""
+
+    blocks: tuple[tuple[float, DensityOperator], ...]
+
+    @property
+    def dim_b(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def dim_a(self) -> int:
+        return self.blocks[0][1].dim
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.array([w for w, _ in self.blocks])
+
+
+def make_qc_state(blocks) -> QCState:
+    """Validate block weights and conditional dimensions."""
+    blocks = tuple((float(w), rho) for w, rho in blocks)
+    if not blocks:
+        raise DimensionMismatchError("QC state needs at least one block")
+    d_a = blocks[0][1].dim
+    for w, rho in blocks:
+        if rho.dim != d_a:
+            raise DimensionMismatchError(f"conditional dims differ: {rho.dim} vs {d_a}")
+        if w < -WEIGHT_TOL:
+            raise OutOfRangeError(f"negative block weight {w!r}")
+    total = sum(w for w, _ in blocks)
+    if abs(total - 1.0) > TRACE_TOL:
+        raise TraceNotOneError(f"block weights sum to {total!r}")
+    return QCState(blocks)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassicalDist:
+    """Probability vector over a finite alphabet."""
+
+    probs: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.probs.shape[0])
+
+
+def make_classical(p) -> ClassicalDist:
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size < 1:
+        raise DimensionMismatchError(f"expected a probability vector, got shape {p.shape}")
+    if float(np.min(p)) < -WEIGHT_TOL:
+        raise OutOfRangeError(f"negative probability {float(np.min(p))!r}")
+    if abs(float(np.sum(p)) - 1.0) > TRACE_TOL:
+        raise TraceNotOneError(f"probabilities sum to {float(np.sum(p))!r}")
+    out = np.maximum(p, 0.0)
+    out.setflags(write=False)
+    return ClassicalDist(out)
+
+
+@dataclass(frozen=True, eq=False)
+class SqrtVector:
+    """Square-root eigenvalue vector of a QC state, k outer, j inner.
+
+    Entries are ``sqrt(alpha_k p_{jk})`` with the eigenvalues of each block
+    sorted descending, which is the ordering under which the dot product of
+    two such vectors lower-bounds the fidelity of the embedded states.
+    """
+
+    entries: np.ndarray
+    dim_a: int
+    dim_b: int
+
+
+def qc_embed(state: QCState) -> DensityOperator:
+    """Embed a QC state as a block-diagonal density operator on ``d_A * d_B``."""
+    d_a, d_b = state.dim_a, state.dim_b
+    out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    for k, (w, rho) in enumerate(state.blocks):
+        sl = slice(k * d_a, (k + 1) * d_a)
+        out[sl, sl] = w * rho.matrix
+    return make_density(out)
+
+
+def partial_trace_A(rho: DensityOperator, d_a: int, d_b: int) -> DensityOperator:
+    """Trace out the A system (inner index), leaving a ``d_B`` density operator."""
+    if rho.dim != d_a * d_b:
+        raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
+    blocks = rho.matrix.reshape(d_b, d_a, d_b, d_a)
+    return make_density(np.einsum("kjlj->kl", blocks))
+
+
+def sqrt_vector(state: QCState) -> SqrtVector:
+    """Square-root vector of a QC state (per-block descending eigenvalues)."""
+    d_a, d_b = state.dim_a, state.dim_b
+    entries = np.empty(d_a * d_b)
+    for k, (w, rho) in enumerate(state.blocks):
+        p = linalg.clamped_psd_eigenvalues(rho.spectrum.eigenvalues)[::-1]
+        entries[k * d_a : (k + 1) * d_a] = np.sqrt(max(w, 0.0) * p)
+    entries.setflags(write=False)
+    return SqrtVector(entries, d_a, d_b)
+
+
+def is_qc_block_diagonal(rho: DensityOperator, d_a: int, d_b: int, tol: float = 1e-12) -> bool:
+    """Exact-structure check: block diagonal over the given classical basis.
+
+    This is deliberately not a basis search; a state counts as QC here only
+    with respect to the fixed computational classical basis.
+    """
+    if rho.dim != d_a * d_b:
+        raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
+    blocks = rho.matrix.reshape(d_b, d_a, d_b, d_a)
+    off = blocks.copy()
+    for k in range(d_b):
+        off[k, :, k, :] = 0.0
+    return bool(np.max(np.abs(off)) <= tol)
+
+
+def theta0(r: SqrtVector, s: SqrtVector) -> float:
+    """Angle ``arccos(r . s)`` between square-root vectors.
+
+    Lower-bounds the angular distance of the embedded states.  The dot
+    product is clamped to [0, 1] so float overshoot cannot produce NaN.
+    """
+    if (r.dim_a, r.dim_b) != (s.dim_a, s.dim_b):
+        raise DimensionMismatchError(
+            f"block structure {(r.dim_a, r.dim_b)} vs {(s.dim_a, s.dim_b)}"
+        )
+    dot = float(np.clip(r.entries @ s.entries, 0.0, 1.0))
+    return float(np.arccos(dot))
+
+
+# -- JSON state format --------------------------------------------------------
+#
+# {"dim_a": int, "dim_b": int, "kind": "qc" | "dense",
+#  "blocks": [{"weight": w, "matrix": [[[re, im], ...], ...]}, ...],   (qc)
+#  "matrix": [[[re, im], ...], ...]}                                    (dense)
+
+
+def _matrix_to_json(m: np.ndarray) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+
+
+def _matrix_from_json(obj, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StateFormatError(f"{what}: malformed complex matrix") from exc
+    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
+        raise StateFormatError(f"{what}: expected shape (d, d, 2), got {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def qc_state_to_json(state: QCState) -> dict:
+    return {
+        "dim_a": state.dim_a,
+        "dim_b": state.dim_b,
+        "kind": "qc",
+        "blocks": [
+            {"weight": float(w), "matrix": _matrix_to_json(rho.matrix)}
+            for w, rho in state.blocks
+        ],
+    }
+
+
+def dense_state_to_json(rho: DensityOperator, d_a: int, d_b: int) -> dict:
+    if rho.dim != d_a * d_b:
+        raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
+    return {"dim_a": d_a, "dim_b": d_b, "kind": "dense", "matrix": _matrix_to_json(rho.matrix)}
+
+
+def state_from_json(obj) -> tuple[DensityOperator, int, int]:
+    """Parse a state object, returning the (embedded) density and its split."""
+    if not isinstance(obj, dict):
+        raise StateFormatError(f"state must be an object, got {type(obj).__name__}")
+    try:
+        d_a = int(obj["dim_a"])
+        d_b = int(obj["dim_b"])
+        kind = obj["kind"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StateFormatError(f"missing or malformed header field: {exc}") from exc
+    if d_a < 1 or d_b < 1:
+        raise StateFormatError(f"dims must be positive, got ({d_a}, {d_b})")
+    try:
+        if kind == "qc":
+            blocks = [
+                (float(b["weight"]), make_density(_matrix_from_json(b["matrix"], "block")))
+                for b in obj["blocks"]
+            ]
+            state = make_qc_state(blocks)
+            if (state.dim_a, state.dim_b) != (d_a, d_b):
+                raise StateFormatError(
+                    f"blocks give dims ({state.dim_a}, {state.dim_b}), header says ({d_a}, {d_b})"
+                )
+            return qc_embed(state), d_a, d_b
+        if kind == "dense":
+            rho = make_density(_matrix_from_json(obj["matrix"], "matrix"))
+            if rho.dim != d_a * d_b:
+                raise StateFormatError(f"matrix dim {rho.dim} != {d_a} * {d_b}")
+            return rho, d_a, d_b
+    except StateFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StateFormatError(f"malformed {kind!r} state: {exc}") from exc
+    except Exception as exc:  # validation errors from make_density etc.
+        raise StateFormatError(f"invalid {kind!r} state: {exc}") from exc
+    raise StateFormatError(f"unknown state kind {kind!r}")
+
+
+def load_state_pair(path: str) -> tuple[DensityOperator, DensityOperator, int, int]:
+    """Read a ``{"rho": ..., "sigma": ...}`` pair file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise StateFormatError(f"{path}: {exc}") from exc
+    if not isinstance(obj, dict) or "rho" not in obj or "sigma" not in obj:
+        raise StateFormatError(f"{path}: expected an object with 'rho' and 'sigma'")
+    rho, da1, db1 = state_from_json(obj["rho"])
+    sigma, da2, db2 = state_from_json(obj["sigma"])
+    if (da1, db1) != (da2, db2):
+        raise StateFormatError(f"{path}: rho is ({da1}, {db1}) but sigma is ({da2}, {db2})")
+    return rho, sigma, da1, db1
