@@ -41,7 +41,6 @@ from .entropy import (
 from .errors import (
     EntroboundError,
     OutOfRangeError,
-    RejectionBudgetExhaustedError,
     StateFormatError,
 )
 from .fvdg import classify_pair
@@ -486,10 +485,7 @@ def main(argv=None) -> int:
     except (StateFormatError, OutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RejectionBudgetExhaustedError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EntroboundError as exc:
+    except (EntroboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

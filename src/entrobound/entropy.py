@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, OutOfRangeError
-from .states import ClassicalDist, DensityOperator, SqrtVector, partial_trace_A
+from .states import ClassicalDist, DensityOperator, SqrtVector, partial_trace_A, theta0
 
 _X0_BISECTION_TOL = 1e-14
 
@@ -100,8 +100,6 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def conditional_entropy(rho: DensityOperator, d_a: int, d_b: int) -> float:
     """``H(A|B) = H(rho_AB) - H(rho_B)`` for a state on ``d_A * d_B``."""
-    if rho.dim != d_a * d_b:
-        raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
     return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace_A(rho, d_a, d_b))
 
 
@@ -258,7 +256,9 @@ def great_circle_path(r: SqrtVector, s: SqrtVector) -> PathState:
     Raises OutOfRange for coinciding endpoints (``r . s = 1``): the path
     degenerates and there is no interior angle to differentiate at.
     """
-    angle = _theta0_checked(r, s)
+    angle = theta0(r, s)
+    if angle <= 0.0:
+        raise OutOfRangeError("endpoints coincide (r . s = 1); no path to differentiate")
     dot = float(r.entries @ s.entries)
     diff = s.entries - dot * r.entries
     norm = float(np.linalg.norm(diff))
@@ -267,18 +267,6 @@ def great_circle_path(r: SqrtVector, s: SqrtVector) -> PathState:
     s_perp.setflags(write=False)
     active.setflags(write=False)
     return PathState(r=r, s=s, theta0=angle, s_perp=s_perp, active=active)
-
-
-def _theta0_checked(r: SqrtVector, s: SqrtVector) -> float:
-    if (r.dim_a, r.dim_b) != (s.dim_a, s.dim_b):
-        raise DimensionMismatchError(
-            f"block structure {(r.dim_a, r.dim_b)} vs {(s.dim_a, s.dim_b)}"
-        )
-    dot = float(np.clip(r.entries @ s.entries, 0.0, 1.0))
-    angle = float(np.arccos(dot))
-    if angle <= 0.0:
-        raise OutOfRangeError("endpoints coincide (r . s = 1); no path to differentiate")
-    return angle
 
 
 def hc_derivative(path: PathState, theta: float) -> float:

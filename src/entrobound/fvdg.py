@@ -25,6 +25,7 @@ from .errors import DimensionMismatchError, InvalidDeltaError, NotInvertibleErro
 from .metrics import (
     DistanceTriple,
     Rank1Measurement,
+    check_pair,
     distance_triple,
     make_measurement,
 )
@@ -105,21 +106,19 @@ class PerturbationTrace:
     residuals: np.ndarray
 
 
-def _check_pair(rho: DensityOperator, sigma: DensityOperator) -> None:
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} vs {sigma.dim}")
-
-
 def trace_optimal_measurements(rho: DensityOperator, sigma: DensityOperator) -> Rank1Measurement:
     """An eigenbasis of ``rho - sigma``; always achieves ``T_c = T``."""
-    _check_pair(rho, sigma)
-    dec = linalg.eig_hermitian(rho.matrix - sigma.matrix)
+    check_pair(rho, sigma)
+    dec = linalg.decompose(rho.matrix - sigma.matrix)
     return make_measurement(dec.eigenvectors)
 
 
-def _kernel_tolerance(part: np.ndarray) -> float:
-    op_norm = float(np.max(np.abs(np.linalg.eigvalsh(part))))
-    return KERNEL_TOL * np.sqrt(op_norm)
+def _check_measurement(
+    measurement: Rank1Measurement, rho: DensityOperator, sigma: DensityOperator
+) -> None:
+    check_pair(rho, sigma)
+    if measurement.dim != rho.dim:
+        raise DimensionMismatchError(f"basis dim {measurement.dim} vs {rho.dim}")
 
 
 def is_trace_optimal(
@@ -129,44 +128,42 @@ def is_trace_optimal(
 
     ``P, Q`` are the positive and negative parts of ``rho - sigma``; this is
     exactly the membership test for the trace-distance-preserving set.
+    Membership is ``||P e|| <= KERNEL_TOL * ||P||^{1/2}``, with both norms
+    read off one eigendecomposition of ``rho - sigma``.
     """
-    _check_pair(rho, sigma)
-    if measurement.dim != rho.dim:
-        raise DimensionMismatchError(f"basis dim {measurement.dim} vs {rho.dim}")
-    p_part, q_part = linalg.positive_negative_parts(rho.matrix - sigma.matrix)
-    p_norms = np.linalg.norm(p_part @ measurement.basis, axis=0)
-    q_norms = np.linalg.norm(q_part @ measurement.basis, axis=0)
-    return bool(
-        np.all((p_norms <= _kernel_tolerance(p_part)) | (q_norms <= _kernel_tolerance(q_part)))
-    )
+    _check_measurement(measurement, rho, sigma)
+    dec = linalg.decompose(rho.matrix - sigma.matrix)
+    coeffs = np.abs(dec.eigenvectors.conj().T @ measurement.basis)
+    in_kernel = [
+        np.linalg.norm(part[:, None] * coeffs, axis=0) <= KERNEL_TOL * np.sqrt(np.max(part))
+        for part in (np.maximum(dec.eigenvalues, 0.0), np.maximum(-dec.eigenvalues, 0.0))
+    ]
+    return bool(np.all(in_kernel[0] | in_kernel[1]))
 
 
-def _require_invertible_pair(rho: DensityOperator, sigma: DensityOperator) -> None:
+def _m_of_invertible_pair(rho: DensityOperator, sigma: DensityOperator) -> np.ndarray:
+    """``M = rho^{-1} # sigma`` from rho's cached spectrum; no re-validation."""
     if not rho.is_invertible() or not sigma.is_invertible():
         raise NotInvertibleError(
             "both states must be invertible; use the pure-state or perturbation path"
         )
+    return linalg.m_from_spectrum(rho.spectrum, sigma.matrix)
 
 
 def fidelity_optimal_measurement(
     rho: DensityOperator, sigma: DensityOperator
 ) -> Rank1Measurement:
     """An eigenbasis of ``M = rho^{-1} # sigma``; achieves ``F_c = F``."""
-    _check_pair(rho, sigma)
-    _require_invertible_pair(rho, sigma)
-    dec = linalg.eig_hermitian(linalg.m_operator(rho.matrix, sigma.matrix))
-    return make_measurement(dec.eigenvectors)
+    check_pair(rho, sigma)
+    return make_measurement(linalg.decompose(_m_of_invertible_pair(rho, sigma)).eigenvectors)
 
 
 def is_fidelity_optimal(
     measurement: Rank1Measurement, rho: DensityOperator, sigma: DensityOperator
 ) -> bool:
     """True iff every basis vector is an eigenvector of ``M`` within tolerance."""
-    _check_pair(rho, sigma)
-    if measurement.dim != rho.dim:
-        raise DimensionMismatchError(f"basis dim {measurement.dim} vs {rho.dim}")
-    _require_invertible_pair(rho, sigma)
-    m = linalg.m_operator(rho.matrix, sigma.matrix)
+    _check_measurement(measurement, rho, sigma)
+    m = _m_of_invertible_pair(rho, sigma)
     b = measurement.basis
     mb = m @ b
     rayleigh = np.einsum("ix,ix->x", b.conj(), mb)
@@ -238,46 +235,23 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
     pairs are classified from the gap residuals alone and flagged
     ``invertible=False`` with M omitted.
     """
-    _check_pair(rho, sigma)
     triple = distance_triple(rho, sigma)
-    upper = float(np.sqrt(max(0.0, 1.0 - triple.fidelity**2)))
-    lower_gap = triple.trace_distance - (1.0 - triple.fidelity)
-    upper_gap = upper - triple.trace_distance
+    lower_gap, upper_gap = triple.fvdg_gaps()
     diff = rho.matrix - sigma.matrix
     diff_norm = float(np.max(np.abs(diff)))
     invertible = rho.is_invertible() and sigma.is_invertible()
 
-    if not invertible:
-        if diff_norm <= EQUAL_TOL:
-            cls = PairClass.EQUAL
-        elif abs(upper_gap) <= RESIDUAL_GAP_TOL:
-            cls = PairClass.UPPER_SATURATED
-        elif abs(lower_gap) <= RESIDUAL_GAP_TOL:
-            cls = PairClass.LOWER_SATURATED
-        else:
-            cls = PairClass.NEITHER_SATURATED
-        return SaturationReport(
-            pair_class=cls,
-            invertible=False,
-            m=None,
-            spectrum_of_m=np.array([]),
-            commutator_residual=0.0,
-            c_value=None,
-            distances=triple,
-            lower_gap=lower_gap,
-            upper_gap=upper_gap,
-        )
+    m, spectrum, residual, c_value = None, np.array([]), 0.0, None
+    if invertible:
+        m = linalg.m_from_spectrum(rho.spectrum, sigma.matrix)
+        spectrum = np.linalg.eigvalsh(m)
+        commutator = m @ diff - diff @ m
+        scale = float(np.max(np.abs(m))) * diff_norm
+        residual = float(np.max(np.abs(commutator))) / scale if scale > 0.0 else 0.0
 
-    m = linalg.m_operator(rho.matrix, sigma.matrix)
-    spectrum = np.linalg.eigvalsh(m)
-    commutator = m @ diff - diff @ m
-    scale = float(np.max(np.abs(m))) * diff_norm
-    residual = float(np.max(np.abs(commutator))) / scale if scale > 0.0 else 0.0
-
-    c_value = None
     if diff_norm <= EQUAL_TOL:
         cls = PairClass.EQUAL
-    else:
+    elif invertible:
         clusters = _cluster_values(np.sort(spectrum), SPECTRAL_CLUSTER_TOL)
         upper_structure = (
             len(clusters) == 2
@@ -290,9 +264,15 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
             c_value = clusters[0]
         else:
             cls = PairClass.NEITHER_SATURATED
+    elif abs(upper_gap) <= RESIDUAL_GAP_TOL:
+        cls = PairClass.UPPER_SATURATED
+    elif abs(lower_gap) <= RESIDUAL_GAP_TOL:
+        cls = PairClass.LOWER_SATURATED
+    else:
+        cls = PairClass.NEITHER_SATURATED
     return SaturationReport(
         pair_class=cls,
-        invertible=True,
+        invertible=invertible,
         m=m,
         spectrum_of_m=spectrum,
         commutator_residual=residual,
@@ -356,9 +336,7 @@ def perturbation_trace(
     A vanishing residual trend is a necessary signature of fidelity-preserving
     measurements, not a sufficient one, so no verdict is attached.
     """
-    _check_pair(rho, sigma)
-    if measurement.dim != rho.dim:
-        raise DimensionMismatchError(f"basis dim {measurement.dim} vs {rho.dim}")
+    _check_measurement(measurement, rho, sigma)
     deltas = tuple(float(d) for d in deltas)
     if not deltas or any(not 0.0 < d < 1.0 for d in deltas):
         raise InvalidDeltaError(f"deltas must lie in (0, 1), got {deltas}")

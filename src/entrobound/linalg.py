@@ -21,6 +21,7 @@ from .errors import (
     NoConvergenceError,
     NonHermitianError,
     NotInvertibleError,
+    OutOfRangeError,
 )
 
 # Hermiticity residual allowed before rejection, relative to the largest entry.
@@ -40,19 +41,28 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def as_hermitian(m) -> np.ndarray:
     """Validate hermiticity and return the symmetrized copy ``(m + m†)/2``.
 
+    The package's one validation boundary, called once per outside argument;
+    arrays built inside from validated ones are only symmetrized.
     Symmetrizing absorbs rounding noise from upstream arithmetic; a symmetry
     residual beyond ``HERMITICITY_TOL`` (relative to the largest entry) is a
-    genuinely non-Hermitian input and is rejected.
+    genuinely non-Hermitian input and is rejected, as is any NaN or inf.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
+    # A NaN residual compares false and would pass the test below.
+    if not np.isfinite(m).all():
+        raise OutOfRangeError("matrix has a NaN or infinite entry")
     residual = float(np.max(np.abs(m - m.conj().T)))
     scale = max(float(np.max(np.abs(m))), 1.0)
     if residual > HERMITICITY_TOL * scale:
         raise NonHermitianError(
             f"symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL * scale:.3e}"
         )
+    return _symmetrized(m)
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
     return _frozen((m + m.conj().T) / 2.0)
 
 
@@ -69,13 +79,29 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """``V diag(w) V†``."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return self.apply(lambda w: w)
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """``V diag(fn(w)) V†`` for a scalar function of the eigenvalues."""
         v = self.eigenvectors
         return (v * fn(self.eigenvalues)) @ v.conj().T
+
+    def is_invertible(self) -> bool:
+        """Min eigenvalue above ``INVERTIBILITY_TOL`` times a positive max."""
+        top = float(np.max(self.eigenvalues))
+        return top > 0.0 and float(np.min(self.eigenvalues)) > INVERTIBILITY_TOL * top
+
+
+def decompose(h: np.ndarray) -> SpectralDecomposition:
+    """Eigensystem of a trusted (validated or package-built) Hermitian matrix.
+
+    The package's one call into LAPACK's ``eigh``; ``h`` is not checked.
+    """
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
+        raise NoConvergenceError(str(exc)) from exc
+    return SpectralDecomposition(_frozen(w), _frozen(v))
 
 
 def eig_hermitian(m) -> SpectralDecomposition:
@@ -83,12 +109,7 @@ def eig_hermitian(m) -> SpectralDecomposition:
 
     Eigenvalues come back ascending; ties keep the solver's order.
     """
-    h = as_hermitian(m)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
-        raise NoConvergenceError(str(exc)) from exc
-    return SpectralDecomposition(_frozen(w), _frozen(v))
+    return decompose(as_hermitian(m))
 
 
 def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -103,30 +124,51 @@ def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
+def _psd_sqrt(h: np.ndarray) -> np.ndarray:
+    return _symmetrized(decompose(h).apply(lambda w: np.sqrt(clamped_psd_eigenvalues(w))))
+
+
 def mat_sqrt(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix."""
-    dec = eig_hermitian(m)
-    w = clamped_psd_eigenvalues(dec.eigenvalues)
-    out = dec.eigenvectors * np.sqrt(w) @ dec.eigenvectors.conj().T
-    return _frozen((out + out.conj().T) / 2.0)
+    return _psd_sqrt(as_hermitian(m))
 
 
 def positive_negative_parts(m) -> tuple[np.ndarray, np.ndarray]:
     """Decompose a Hermitian ``m`` as ``P - Q`` with ``P, Q ⪰ 0`` and ``PQ = 0``."""
     dec = eig_hermitian(m)
-    w, v = dec.eigenvalues, dec.eigenvectors
-    pos = v * np.where(w > 0.0, w, 0.0) @ v.conj().T
-    neg = v * np.where(w < 0.0, -w, 0.0) @ v.conj().T
+    pos = dec.apply(lambda w: np.where(w > 0.0, w, 0.0))
+    neg = dec.apply(lambda w: np.where(w < 0.0, -w, 0.0))
     return _frozen(pos), _frozen(neg)
 
 
-def _require_invertible(w: np.ndarray, what: str) -> None:
-    top = float(np.max(w))
-    if top <= 0.0 or float(np.min(w)) <= INVERTIBILITY_TOL * top:
+def m_from_spectrum(rho: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
+    """The one congruence-square-root kernel: ``M = rho^{-1} # sigma`` from rho's eigensystem.
+
+    Unchecked: ``rho`` must be invertible and ``sigma`` a trusted Hermitian
+    matrix of the same shape.
+    """
+    r_half = rho.apply(np.sqrt)
+    r_inv_half = rho.apply(lambda w: 1.0 / np.sqrt(w))
+    mid = _psd_sqrt(_symmetrized(r_half @ sigma @ r_half))
+    return _symmetrized(r_inv_half @ mid @ r_inv_half)
+
+
+def _hermitian_pair(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
+    a, b = as_hermitian(a), as_hermitian(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"{what}: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _invertible_spectrum(a: np.ndarray, what: str) -> SpectralDecomposition:
+    dec = decompose(a)
+    if not dec.is_invertible():
+        w = dec.eigenvalues
         raise NotInvertibleError(
-            f"{what}: eigenvalue range [{np.min(w):.3e}, {top:.3e}] "
+            f"{what}: eigenvalue range [{np.min(w):.3e}, {np.max(w):.3e}] "
             f"fails min > {INVERTIBILITY_TOL:.0e} * max"
         )
+    return dec
 
 
 def geometric_mean(a, b) -> np.ndarray:
@@ -137,18 +179,10 @@ def geometric_mean(a, b) -> np.ndarray:
     is discontinuous); callers with near-singular densities should go through
     :func:`m_operator_perturbed` with an explicit delta instead.
     """
-    dec_a = eig_hermitian(a)
-    _require_invertible(dec_a.eigenvalues, "geometric_mean")
-    b = as_hermitian(b)
-    if b.shape != dec_a.eigenvectors.shape:
-        raise DimensionMismatchError(
-            f"geometric_mean: {dec_a.eigenvectors.shape} vs {b.shape}"
-        )
-    a_half = dec_a.apply(np.sqrt)
-    a_inv_half = dec_a.apply(lambda w: 1.0 / np.sqrt(w))
-    mid = mat_sqrt(a_inv_half @ b @ a_inv_half)
-    out = a_half @ mid @ a_half
-    return _frozen((out + out.conj().T) / 2.0)
+    a, b = _hermitian_pair(a, b, "geometric_mean")
+    dec = _invertible_spectrum(a, "geometric_mean")
+    # A # B = (A^{-1})^{-1} # B, and A^{-1} is V diag(1/w) V†.
+    return m_from_spectrum(SpectralDecomposition(1.0 / dec.eigenvalues, dec.eigenvectors), b)
 
 
 def m_operator(rho, sigma) -> np.ndarray:
@@ -157,16 +191,8 @@ def m_operator(rho, sigma) -> np.ndarray:
     Computed as ``rho^{-1/2} (rho^{1/2} sigma rho^{1/2})^{1/2} rho^{-1/2}``,
     which never forms ``rho^{-1}`` explicitly.
     """
-    dec = eig_hermitian(rho)
-    _require_invertible(dec.eigenvalues, "m_operator")
-    sigma = as_hermitian(sigma)
-    if sigma.shape != dec.eigenvectors.shape:
-        raise DimensionMismatchError(f"m_operator: {dec.eigenvectors.shape} vs {sigma.shape}")
-    r_half = dec.apply(np.sqrt)
-    r_inv_half = dec.apply(lambda w: 1.0 / np.sqrt(w))
-    mid = mat_sqrt(r_half @ sigma @ r_half)
-    out = r_inv_half @ mid @ r_inv_half
-    return _frozen((out + out.conj().T) / 2.0)
+    rho, sigma = _hermitian_pair(rho, sigma, "m_operator")
+    return m_from_spectrum(_invertible_spectrum(rho, "m_operator"), sigma)
 
 
 def m_operator_perturbed(rho, sigma, delta: float) -> np.ndarray:
@@ -180,10 +206,8 @@ def m_operator_perturbed(rho, sigma, delta: float) -> np.ndarray:
     """
     if not 0.0 < float(delta) < 1.0:
         raise InvalidDeltaError(f"delta must lie in (0, 1), got {delta}")
-    rho = as_hermitian(rho)
-    sigma = as_hermitian(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatchError(f"m_operator_perturbed: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _hermitian_pair(rho, sigma, "m_operator_perturbed")
     d = rho.shape[0]
     mix = float(delta) * np.eye(d) / d
-    return m_operator((1.0 - delta) * rho + mix, (1.0 - delta) * sigma + mix)
+    dec = _invertible_spectrum((1.0 - delta) * rho + mix, "m_operator_perturbed")
+    return m_from_spectrum(dec, (1.0 - delta) * sigma + mix)

@@ -25,6 +25,11 @@ class DistanceTriple:
     fidelity: float
     angular: float
 
+    def fvdg_gaps(self) -> tuple[float, float]:
+        """``(T - (1 - F), sqrt(1 - F^2) - T)``, the Fuchs-van de Graaf slacks."""
+        upper = float(np.sqrt(max(0.0, 1.0 - self.fidelity**2)))
+        return self.trace_distance - (1.0 - self.fidelity), upper - self.trace_distance
+
 
 @dataclass(frozen=True, eq=False)
 class Rank1Measurement:
@@ -53,14 +58,15 @@ def make_measurement(vectors) -> Rank1Measurement:
     return Rank1Measurement(b)
 
 
-def _check_dims(rho: DensityOperator, sigma: DensityOperator) -> None:
+def check_pair(rho: DensityOperator, sigma: DensityOperator) -> None:
+    """Raise unless both states act on spaces of one dimension."""
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} vs {sigma.dim}")
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of ``rho - sigma``."""
-    _check_dims(rho, sigma)
+    check_pair(rho, sigma)
     w = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(np.clip(0.5 * np.sum(np.abs(w)), 0.0, 1.0))
 
@@ -73,7 +79,7 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     zero before the square root: eigensolver noise sits at ~1e-16 and taking
     its square root would otherwise inject ~1e-8 per spurious eigenvalue.
     """
-    _check_dims(rho, sigma)
+    check_pair(rho, sigma)
     sq = rho.spectrum.apply(lambda w: np.sqrt(np.maximum(w, 0.0)))
     w = np.linalg.eigvalsh(sq @ sigma.matrix @ sq)
     top = max(float(np.max(w)), 0.0)
@@ -119,6 +125,4 @@ def fvdg_residuals(rho: DensityOperator, sigma: DensityOperator) -> tuple[float,
     Returns ``(T - (1 - F), sqrt(1 - F^2) - T)``; both are nonnegative up to
     rounding, and a zero marks the corresponding inequality as saturated.
     """
-    t = distance_triple(rho, sigma)
-    upper = float(np.sqrt(max(0.0, 1.0 - t.fidelity**2)))
-    return t.trace_distance - (1.0 - t.fidelity), upper - t.trace_distance
+    return distance_triple(rho, sigma).fvdg_gaps()

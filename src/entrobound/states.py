@@ -10,6 +10,7 @@ convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +44,13 @@ class DensityOperator:
 
     def is_invertible(self) -> bool:
         """Min eigenvalue strictly above the relative invertibility threshold."""
-        w = self.spectrum.eigenvalues
-        return float(np.min(w)) > linalg.INVERTIBILITY_TOL * float(np.max(w))
+        return self.spectrum.is_invertible()
 
 
 def make_density(m) -> DensityOperator:
     """Validate ``m`` as a density operator (Hermitian, PSD, trace 1)."""
     h = linalg.as_hermitian(m)
-    dec = linalg.eig_hermitian(h)
+    dec = linalg.decompose(h)
     linalg.clamped_psd_eigenvalues(dec.eigenvalues)
     trace = float(np.sum(dec.eigenvalues))
     if abs(trace - 1.0) > TRACE_TOL:
@@ -86,8 +86,8 @@ def make_qc_state(blocks) -> QCState:
     for w, rho in blocks:
         if rho.dim != d_a:
             raise DimensionMismatchError(f"conditional dims differ: {rho.dim} vs {d_a}")
-        if w < -WEIGHT_TOL:
-            raise OutOfRangeError(f"negative block weight {w!r}")
+        if not math.isfinite(w) or w < -WEIGHT_TOL:
+            raise OutOfRangeError(f"block weight {w!r} is negative or not finite")
     total = sum(w for w, _ in blocks)
     if abs(total - 1.0) > TRACE_TOL:
         raise TraceNotOneError(f"block weights sum to {total!r}")
@@ -109,10 +109,12 @@ def make_classical(p) -> ClassicalDist:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DimensionMismatchError(f"expected a probability vector, got shape {p.shape}")
-    if float(np.min(p)) < -WEIGHT_TOL:
-        raise OutOfRangeError(f"negative probability {float(np.min(p))!r}")
-    if abs(float(np.sum(p)) - 1.0) > TRACE_TOL:
-        raise TraceNotOneError(f"probabilities sum to {float(np.sum(p))!r}")
+    if not np.isfinite(p).all():
+        raise OutOfRangeError("probability vector has a NaN or infinite entry")
+    if float(p.min()) < -WEIGHT_TOL:
+        raise OutOfRangeError(f"negative probability {float(p.min())!r}")
+    if abs(float(p.sum()) - 1.0) > TRACE_TOL:
+        raise TraceNotOneError(f"probabilities sum to {float(p.sum())!r}")
     out = np.maximum(p, 0.0)
     out.setflags(write=False)
     return ClassicalDist(out)

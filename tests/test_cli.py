@@ -212,6 +212,18 @@ class TestMain:
         path.write_text(json.dumps(blob))
         assert cli.main(["classify", str(path)]) == 2
 
+    def test_classify_non_finite_entry_exits_2(self, tmp_path):
+        # A diagonal matrix passes LAPACK with a NaN on its diagonal, so only
+        # the validation boundary can reject it.
+        blob = {
+            "rho": dense_state_to_json(make_density(np.diag([0.6, 0.4])), 2, 1),
+            "sigma": dense_state_to_json(make_density(np.diag([0.5, 0.5])), 2, 1),
+        }
+        blob["rho"]["matrix"][0][0] = [math.nan, 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(blob))
+        assert cli.main(["classify", str(path)]) == 2
+
     def test_classify_missing_file_exits_1(self):
         assert cli.main(["classify", "/nonexistent/pair.json"]) == 1
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import rand_invertible_density, rand_pure_density
 
+from entrobound import linalg
 from entrobound.errors import (
     DimensionMismatchError,
     InvalidDeltaError,
@@ -246,6 +247,17 @@ class TestClassifyPair:
         assert report.lower_gap == pytest.approx(0.0, abs=1e-12)
         assert report.upper_gap == pytest.approx(0.0, abs=1e-12)
         assert_allclose(report.m, np.eye(2), atol=1e-10)
+
+    def test_m_matches_the_validated_route(self):
+        # classify_pair feeds rho's cached spectrum to the kernel; the public
+        # m_operator re-validates and re-decomposes, and must agree bit for bit.
+        rng = RngHandle(71)
+        for d in (2, 3, 4, 8):
+            for _ in range(10):
+                rho = rand_invertible_density(rng, d)
+                sigma = rand_invertible_density(rng, d)
+                report = classify_pair(rho, sigma)
+                assert np.array_equal(report.m, linalg.m_operator(rho.matrix, sigma.matrix))
 
     @pytest.mark.parametrize("b", [0.1, 0.25, 0.7])
     def test_swap_family(self, b):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entrobound import linalg
 from entrobound.errors import (
     DimensionMismatchError,
     NegativeEigenvalueError,
+    OutOfRangeError,
     StateFormatError,
     TraceNotOneError,
 )
@@ -53,6 +55,31 @@ class TestMakeDensity:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            # inf > 1e-10 * inf is false, so the residual test alone passes this.
+            [[0.5, np.inf], [0.0, 0.5]],
+        ],
+    )
+    def test_rejects_non_finite_entries(self, m):
+        with pytest.raises(OutOfRangeError):
+            make_density(m)
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        original = linalg.as_hermitian
+
+        def counting(m):
+            calls.append(1)
+            return original(m)
+
+        monkeypatch.setattr(linalg, "as_hermitian", counting)
+        make_density(np.diag([0.7, 0.3]))
+        assert len(calls) == 1
+
 
 class TestQcEmbed:
     def test_single_block(self):
@@ -76,6 +103,11 @@ class TestQcEmbed:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(TraceNotOneError):
             qc((0.6, np.eye(2) / 2), (0.6, np.eye(2) / 2))
+
+    def test_rejects_nan_weight(self):
+        # A NaN weight makes the weight sum NaN, which the sum test alone passes.
+        with pytest.raises(OutOfRangeError):
+            qc((np.nan, np.eye(2) / 2), (1.0, np.eye(2) / 2))
 
 
 class TestPartialTraceA:
@@ -249,6 +281,8 @@ def test_classical_dist_validation():
     make_classical([0.5, 0.5])
     with pytest.raises(TraceNotOneError):
         make_classical([0.5, 0.6])
+    with pytest.raises(OutOfRangeError):
+        make_classical([np.nan, 1.0])
 
 
 def test_qc_block_structure_check():
