@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, OutOfRangeError
-from .states import ClassicalDist, DensityOperator, SqrtVector, partial_trace_A, theta0
+from .states import (
+    ClassicalDist, DensityOperator, SqrtVector, make_classical, partial_trace_A, theta0
+)
 
 _X0_BISECTION_TOL = 1e-14
 
@@ -67,11 +69,13 @@ class LipschitzConstants:
         integrality of the dimension, and ``u(d) = 2 ln d`` exactly once
         d >= 5 > x0.
         """
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-            raise OutOfRangeError(f"dimension must be an integer, got {d!r}")
-        if d < 1:
-            raise OutOfRangeError(f"dimension must be >= 1, got {d}")
-        return 2.0 * math.sqrt(self.majorant(float(d)))
+        return 2.0 * math.sqrt(self.majorant(float(_dimension(d))))
+
+
+def _dimension(d, least: int = 1) -> int:
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least:
+        raise OutOfRangeError(f"dimension must be an integer >= {least}, got {d!r}")
+    return int(d)
 
 
 def _make_constants() -> LipschitzConstants:
@@ -118,9 +122,7 @@ def audenaert_bound(trace_dist: float, d: int) -> float:
     """
     if not 0.0 <= trace_dist <= 1.0:
         raise OutOfRangeError(f"trace distance {trace_dist} outside [0, 1]")
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise OutOfRangeError(f"dimension must be an integer >= 2, got {d!r}")
-    return trace_dist * math.log(d - 1) + binary_entropy(trace_dist)
+    return trace_dist * math.log(_dimension(d, 2) - 1) + binary_entropy(trace_dist)
 
 
 def winter_bound(trace_dist: float, d_a: int) -> float:
@@ -131,10 +133,8 @@ def winter_bound(trace_dist: float, d_a: int) -> float:
     """
     if not 0.0 <= trace_dist <= 1.0:
         raise OutOfRangeError(f"trace distance {trace_dist} outside [0, 1]")
-    if not isinstance(d_a, (int, np.integer)) or d_a < 1:
-        raise OutOfRangeError(f"dimension must be an integer >= 1, got {d_a!r}")
     t = float(trace_dist)
-    return 2.0 * t * math.log(d_a) + (1.0 + t) * binary_entropy(t / (1.0 + t))
+    return 2.0 * t * math.log(_dimension(d_a)) + (1.0 + t) * binary_entropy(t / (1.0 + t))
 
 
 def _check_angle(angle: float) -> float:
@@ -154,14 +154,12 @@ def naive_conditional_bound(angle: float, d_a: int, d_b: int) -> float:
     Kept as the comparison baseline: it grows with the conditioning dimension,
     which is exactly what the QC bound avoids.
     """
-    if not isinstance(d_a, (int, np.integer)) or not isinstance(d_b, (int, np.integer)):
-        raise OutOfRangeError(f"dimensions must be integers, got {d_a!r}, {d_b!r}")
-    return (lipschitz_u(int(d_a) * int(d_b)) + lipschitz_u(d_b)) * _check_angle(angle)
+    return (lipschitz_u(_dimension(d_a) * _dimension(d_b)) + lipschitz_u(d_b)) * _check_angle(angle)
 
 
 def qc_continuity_bound(angle: float, d_a: int) -> float:
     """``u(d_A) A``: the conditional-entropy bound for quantum-classical pairs."""
-    return lipschitz_u(d_a) * _check_angle(angle)
+    return sekatski_bound(angle, d_a)
 
 
 class ConversionDirection(enum.Enum):
@@ -209,7 +207,7 @@ def hc_of_vector(v: SqrtVector) -> float:
 
 def classical_conditional_entropy(p, d_a: int, d_b: int) -> float:
     """``H(A|B)`` of a classical joint distribution over ``d_A * d_B`` (k outer)."""
-    probs = p.probs if isinstance(p, ClassicalDist) else np.asarray(p, dtype=float)
+    probs = (p if isinstance(p, ClassicalDist) else make_classical(p)).probs
     if probs.shape != (d_a * d_b,):
         raise DimensionMismatchError(f"shape {probs.shape} != ({d_a * d_b},)")
     return _hc_raw(probs, d_a, d_b)

@@ -22,7 +22,7 @@ class NotInvertibleError(EntroboundError):
 
 
 class InvalidDeltaError(EntroboundError):
-    """Perturbation strength outside (0, 1), or a delta grid that is not descending."""
+    """Delta outside (0, 1), too small for an invertible ``rho_delta``, or a non-descending grid."""
 
 
 class TraceNotOneError(EntroboundError):

@@ -94,10 +94,10 @@ class PerturbationTrace:
     """Skewed-eigenvalue diagnostics on a descending delta grid.
 
     ``mu_values[i, x]`` and ``residuals[i, x]`` hold, for ``deltas[i]`` and
-    basis vector x, the ratio ``mu = tr(B† A) / ||B||^2`` and the residual
-    ``|| sqrt(rho_d) (M_d - |mu| I) e_x ||``; columns with ``e_x`` in the
-    kernel of rho are NaN.  Norms of ``M_d`` are reported per delta without
-    any convergence claim (the limit may diverge).
+    basis vector x, the ratio ``mu = <e_x| M_d rho_d |e_x> / <e_x| rho_d |e_x>``
+    and the residual ``|| sqrt(rho_d) (M_d - |mu| I) e_x ||``; columns with
+    ``e_x`` in the kernel of rho are NaN.  Norms of ``M_d`` are reported per
+    delta without any convergence claim (the limit may diverge).
     """
 
     deltas: tuple[float, ...]
@@ -330,11 +330,14 @@ def perturbation_trace(
     """Evaluate the skewed-eigenvalue residuals on a descending delta grid.
 
     For each delta and each basis vector outside ``ker rho`` this records
-    ``mu = <e| sqrt(sigma_d) U_d sqrt(rho_d) |e> / <e| rho_d |e>`` and the
-    residual ``|| sqrt(rho_d) (M_d - |mu| I) |e> ||``, where ``U_d`` comes
-    from the polar decomposition of ``sqrt(rho_d) sqrt(sigma_d)`` (via SVD).
-    A vanishing residual trend is a necessary signature of fidelity-preserving
-    measurements, not a sufficient one, so no verdict is attached.
+    ``mu = <e| M_d rho_d |e> / <e| rho_d |e>`` and the residual
+    ``|| sqrt(rho_d) (M_d - |mu| I) |e> ||``.  As ``sigma_d = M_d rho_d M_d``,
+    ``M_d rho_d = sqrt(sigma_d) U_d sqrt(rho_d)`` for the polar unitary ``U_d``
+    of ``sqrt(rho_d) sqrt(sigma_d)``; ``mu`` is as precise as ``M_d rho_d``, about
+    ``eps * cond(rho_d) * max(1, max|M_d|) / <e| rho_d |e>``.  A vanishing
+    residual trend is a necessary signature of fidelity-preserving measurements,
+    not a sufficient one, so no verdict is attached.  A delta too small for an
+    invertible ``rho_d`` raises InvalidDeltaError.
     """
     _check_measurement(measurement, rho, sigma)
     deltas = tuple(float(d) for d in deltas)
@@ -343,34 +346,24 @@ def perturbation_trace(
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidDeltaError(f"deltas must be strictly descending, got {deltas}")
 
-    d = rho.dim
-    eye = np.eye(d)
     basis = measurement.basis
     in_support = np.real(np.einsum("ix,ij,jx->x", basis.conj(), rho.matrix, basis)) > 1e-12
+    e = basis[:, in_support]
 
-    mu = np.full((len(deltas), d), np.nan, dtype=complex)
-    residuals = np.full((len(deltas), d), np.nan)
+    mu = np.full((len(deltas), rho.dim), np.nan, dtype=complex)
+    residuals = np.full((len(deltas), rho.dim), np.nan)
     norms = []
     for i, delta in enumerate(deltas):
-        rho_d = (1.0 - delta) * rho.matrix + delta * eye / d
-        sigma_d = (1.0 - delta) * sigma.matrix + delta * eye / d
-        sqrt_rho = linalg.mat_sqrt(rho_d)
-        sqrt_sigma = linalg.mat_sqrt(sigma_d)
-        u_mat, _, vh = np.linalg.svd(sqrt_rho @ sqrt_sigma)
-        polar_unitary = vh.conj().T @ u_mat.conj().T
-        m_delta = linalg.m_operator(rho_d, sigma_d)
+        dec, sigma_d = linalg.perturbed_spectrum(rho.matrix, sigma.matrix, delta)
+        m_delta = linalg.m_from_spectrum(dec, sigma_d)
         norms.append(float(np.max(np.abs(np.linalg.eigvalsh(m_delta)))))
-        cross = sqrt_sigma @ polar_unitary @ sqrt_rho
-        for x in range(d):
-            if not in_support[x]:
-                continue
-            e = basis[:, x]
-            weight = float(np.real(e.conj() @ rho_d @ e))
-            mu_x = complex(e.conj() @ cross @ e) / weight
-            mu[i, x] = mu_x
-            residuals[i, x] = float(
-                np.linalg.norm(sqrt_rho @ ((m_delta - abs(mu_x) * eye) @ e))
-            )
+        rho_e = dec.reconstruct() @ e
+        weights = np.real(np.einsum("ix,ix->x", e.conj(), rho_e))
+        mu_d = np.einsum("ix,ix->x", e.conj(), m_delta @ rho_e) / weights
+        mu[i, in_support] = mu_d
+        residuals[i, in_support] = np.linalg.norm(
+            dec.apply(np.sqrt) @ (m_delta @ e - np.abs(mu_d) * e), axis=0
+        )
     mu.setflags(write=False)
     residuals.setflags(write=False)
     return PerturbationTrace(

@@ -195,11 +195,22 @@ def m_operator(rho, sigma) -> np.ndarray:
     return m_from_spectrum(_invertible_spectrum(rho, "m_operator"), sigma)
 
 
+def perturbed_spectrum(rho, sigma, delta: float) -> tuple[SpectralDecomposition, np.ndarray]:
+    """Eigensystem of ``rho_delta`` and the matrix ``sigma_delta`` from trusted inputs."""
+    d = rho.shape[0]
+    mix = float(delta) * np.eye(d) / d
+    dec = decompose((1.0 - delta) * rho + mix)
+    if not dec.is_invertible():
+        raise InvalidDeltaError(f"delta {delta} is too small for rho_delta to be invertible")
+    return dec, (1.0 - delta) * sigma + mix
+
+
 def m_operator_perturbed(rho, sigma, delta: float) -> np.ndarray:
     """``M_delta = rho_delta^{-1} # sigma_delta`` for density matrices.
 
     ``rho_delta = (1-delta) rho + delta I/d`` and likewise for sigma, so both
-    arguments are invertible for any ``delta`` in (0, 1).  No automatic
+    are invertible for ``delta`` in (0, 1); a delta too small for ``rho_delta``
+    to clear the invertibility threshold raises InvalidDeltaError.  No automatic
     ``delta -> 0`` limit is taken: the limit can diverge (orthogonal supports)
     and is not continuous in the inputs, so the caller owns the choice of
     delta grid.
@@ -207,7 +218,4 @@ def m_operator_perturbed(rho, sigma, delta: float) -> np.ndarray:
     if not 0.0 < float(delta) < 1.0:
         raise InvalidDeltaError(f"delta must lie in (0, 1), got {delta}")
     rho, sigma = _hermitian_pair(rho, sigma, "m_operator_perturbed")
-    d = rho.shape[0]
-    mix = float(delta) * np.eye(d) / d
-    dec = _invertible_spectrum((1.0 - delta) * rho + mix, "m_operator_perturbed")
-    return m_from_spectrum(dec, (1.0 - delta) * sigma + mix)
+    return m_from_spectrum(*perturbed_spectrum(rho, sigma, delta))

@@ -239,7 +239,7 @@ def state_from_json(obj) -> tuple[DensityOperator, int, int]:
         d_a = int(obj["dim_a"])
         d_b = int(obj["dim_b"])
         kind = obj["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateFormatError(f"missing or malformed header field: {exc}") from exc
     if d_a < 1 or d_b < 1:
         raise StateFormatError(f"dims must be positive, got ({d_a}, {d_b})")

@@ -212,6 +212,17 @@ class TestMain:
         path.write_text(json.dumps(blob))
         assert cli.main(["classify", str(path)]) == 2
 
+    def test_classify_header_overflow_exits_2(self, tmp_path):
+        # JSON reads 1e400 as inf, which int() cannot convert.
+        blob = {
+            "rho": dense_state_to_json(make_density(np.diag([0.6, 0.4])), 2, 1),
+            "sigma": dense_state_to_json(make_density(np.diag([0.5, 0.5])), 2, 1),
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(blob).replace('"dim_a": 2', '"dim_a": 1e400', 1))
+        assert "1e400" in path.read_text()
+        assert cli.main(["classify", str(path)]) == 2
+
     def test_classify_non_finite_entry_exits_2(self, tmp_path):
         # A diagonal matrix passes LAPACK with a NaN on its diagonal, so only
         # the validation boundary can reject it.

@@ -115,6 +115,15 @@ class TestTraceDistanceBounds:
             audenaert_bound(0.5, 1)
         with pytest.raises(OutOfRangeError):
             winter_bound(-0.5, 3)
+        # bool is not a dimension, the same way in every bound
+        for bound in (
+            lambda: winter_bound(0.5, True),
+            lambda: audenaert_bound(0.5, True),
+            lambda: naive_conditional_bound(0.1, True, 2),
+            lambda: naive_conditional_bound(0.1, 2, True),
+        ):
+            with pytest.raises(OutOfRangeError):
+                bound()
 
     def test_audenaert_dominates_entropy_differences(self):
         rng = RngHandle(51)
@@ -153,7 +162,7 @@ class TestLipschitzConstants:
         values = [lipschitz_u(d) for d in range(1, 65)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("d", [0, -1, 2.5, "2"])
+    @pytest.mark.parametrize("d", [0, -1, 2.5, "2", True])
     def test_integer_domain(self, d):
         with pytest.raises(OutOfRangeError):
             lipschitz_u(d)
@@ -248,6 +257,11 @@ class TestHcOfVector:
         assert classical_conditional_entropy(p, 2, 2) == pytest.approx(
             conditional_entropy(rho, 2, 2), abs=1e-12
         )
+
+    @pytest.mark.parametrize("p", [[math.nan, 0.5, 0.5, 0.0], [2.0, -0.5, -0.5, 0.0]])
+    def test_classical_helper_validates_raw_arrays(self, p):
+        with pytest.raises(OutOfRangeError):
+            classical_conditional_entropy(np.array(p), 2, 2)
 
 
 class TestHcDerivative:

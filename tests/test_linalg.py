@@ -226,6 +226,10 @@ class TestMOperatorPerturbed:
         with pytest.raises(InvalidDeltaError):
             m_operator_perturbed(rho, rho, delta)
 
+    def test_delta_too_small_for_invertible_rho_delta(self):
+        with pytest.raises(InvalidDeltaError):
+            m_operator_perturbed(np.diag([1.0, 0.0]), np.full((2, 2), 0.5), 1e-13)
+
 
 def test_commuting_diagonal_scalar_equivalence():
     # On commuting diagonal inputs every operation reduces to entrywise

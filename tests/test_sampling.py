@@ -28,6 +28,14 @@ class TestRngHandle:
         assert np.array_equal(u1, u2)
         assert not np.allclose(u1, sample_haar_unitary(base.stream(4), 3))
 
+    def test_split_rule_overlaps_neighbouring_seeds(self):
+        # stream(i) is seed + i, so seed s stream 1 is seed s + 1 stream 0.
+        # This records the current split rule; it is not a property to keep.
+        for seed in (0, 20221, 2**64 - 2):
+            a = RngHandle(seed).stream(1).generator.standard_normal(8)
+            b = RngHandle(seed + 1).stream(0).generator.standard_normal(8)
+            assert np.array_equal(a, b)
+
     def test_seed_validation(self):
         with pytest.raises(OutOfRangeError):
             RngHandle(-1)
