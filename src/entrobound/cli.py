@@ -49,9 +49,9 @@ from .sampling import RngHandle, sample_density, sample_qc_pair, sample_classica
 from .states import (
     dense_state_to_json,
     load_state_pair,
-    make_density,
     qc_embed,
     qc_state_to_json,
+    trusted_density,
 )
 
 DEFAULT_SEED = 20221
@@ -107,7 +107,7 @@ def family_pair(d_a: int, d_b: int, lam: float):
         vec[j * d_a + j] = 1.0 / math.sqrt(d_m)
     rho = np.outer(vec, vec)
     sigma = lam * np.eye(dim) / dim + (1.0 - lam) * rho
-    return make_density(rho), make_density(sigma)
+    return trusted_density(rho), trusted_density(sigma)
 
 
 def family_closed_form(d_a: int, d_b: int, lam: float) -> tuple[float, float]:

@@ -120,9 +120,8 @@ def audenaert_bound(trace_dist: float, d: int) -> float:
     ``T ln(d - 1) + h(T)``; evaluated exactly as written, so at T = 1, d = 2
     the formula value is 0.
     """
-    if not 0.0 <= trace_dist <= 1.0:
-        raise OutOfRangeError(f"trace distance {trace_dist} outside [0, 1]")
-    return trace_dist * math.log(_dimension(d, 2) - 1) + binary_entropy(trace_dist)
+    t = _check_trace_distance(trace_dist)
+    return t * math.log(_dimension(d, 2) - 1) + binary_entropy(t)
 
 
 def winter_bound(trace_dist: float, d_a: int) -> float:
@@ -131,10 +130,14 @@ def winter_bound(trace_dist: float, d_a: int) -> float:
     ``2 T ln(d_A) + (1 + T) h(T / (1 + T))``; independent of the conditioning
     dimension but with unbounded slope at T = 0.
     """
+    t = _check_trace_distance(trace_dist)
+    return 2.0 * t * math.log(_dimension(d_a)) + (1.0 + t) * binary_entropy(t / (1.0 + t))
+
+
+def _check_trace_distance(trace_dist: float) -> float:
     if not 0.0 <= trace_dist <= 1.0:
         raise OutOfRangeError(f"trace distance {trace_dist} outside [0, 1]")
-    t = float(trace_dist)
-    return 2.0 * t * math.log(_dimension(d_a)) + (1.0 + t) * binary_entropy(t / (1.0 + t))
+    return float(trace_dist)
 
 
 def _check_angle(angle: float) -> float:
@@ -178,9 +181,8 @@ def convert_bounds(value: float, direction: ConversionDirection, d_a: int) -> fl
     trace distance to feed into the trace-distance bounds.
     """
     if direction is ConversionDirection.ANGULAR_FROM_TRACE:
-        if not 0.0 <= value <= 1.0:
-            raise OutOfRangeError(f"trace distance {value} outside [0, 1]")
-        return lipschitz_u(d_a) * float(np.arccos(1.0 - value))
+        t = _check_trace_distance(value)
+        return lipschitz_u(d_a) * float(np.arccos(1.0 - t))
     if direction is ConversionDirection.TRACE_FROM_ANGULAR:
         return math.sin(_check_angle(value))
     raise OutOfRangeError(f"unknown direction {direction!r}")

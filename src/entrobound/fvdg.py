@@ -25,6 +25,8 @@ from .errors import DimensionMismatchError, InvalidDeltaError, NotInvertibleErro
 from .metrics import (
     DistanceTriple,
     Rank1Measurement,
+    check_basis,
+    check_classical_pair,
     check_pair,
     distance_triple,
     make_measurement,
@@ -117,8 +119,7 @@ def _check_measurement(
     measurement: Rank1Measurement, rho: DensityOperator, sigma: DensityOperator
 ) -> None:
     check_pair(rho, sigma)
-    if measurement.dim != rho.dim:
-        raise DimensionMismatchError(f"basis dim {measurement.dim} vs {rho.dim}")
+    check_basis(measurement, rho)
 
 
 def is_trace_optimal(
@@ -178,8 +179,7 @@ def classical_saturation_class(p: ClassicalDist, q: ClassicalDist) -> Saturation
     equal distributions, disjoint supports, or a common ratio pair
     ``q/p in {b, 1/b}`` for some b in (0, 1).
     """
-    if p.size != q.size:
-        raise DimensionMismatchError(f"alphabets {p.size} vs {q.size}")
+    check_classical_pair(p, q)
     pa, qa = p.probs, q.probs
     c1 = bool(
         np.all((np.abs(pa - qa) <= CLASSICAL_TOL) | (pa <= CLASSICAL_TOL) | (qa <= CLASSICAL_TOL))
@@ -208,10 +208,16 @@ def _saturates_c2(pa: np.ndarray, qa: np.ndarray) -> bool:
     clusters = _cluster_values(ratios, SPECTRAL_CLUSTER_TOL)
     if len(clusters) == 1:
         return abs(clusters[0] - 1.0) <= SPECTRAL_CLUSTER_TOL
+    return _reciprocal_pair(clusters) is not None
+
+
+def _reciprocal_pair(clusters: list[float]) -> float | None:
+    """``c`` for two clusters ``c < 1 < 1/c`` (product 1 within tolerance), else None."""
     if len(clusters) == 2:
         lo, hi = clusters
-        return lo < 1.0 < hi and abs(lo * hi - 1.0) <= SPECTRAL_CLUSTER_TOL
-    return False
+        if lo < 1.0 < hi and abs(lo * hi - 1.0) <= SPECTRAL_CLUSTER_TOL:
+            return lo
+    return None
 
 
 def _cluster_values(sorted_values: np.ndarray, rel_tol: float) -> list[float]:
@@ -252,16 +258,10 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
     if diff_norm <= EQUAL_TOL:
         cls = PairClass.EQUAL
     elif invertible:
-        clusters = _cluster_values(np.sort(spectrum), SPECTRAL_CLUSTER_TOL)
-        upper_structure = (
-            len(clusters) == 2
-            and clusters[0] < 1.0 < clusters[1]
-            and abs(clusters[0] * clusters[1] - 1.0) <= SPECTRAL_CLUSTER_TOL
-            and residual <= COMMUTATOR_TOL
-        )
-        if upper_structure:
+        c = _reciprocal_pair(_cluster_values(np.sort(spectrum), SPECTRAL_CLUSTER_TOL))
+        if c is not None and residual <= COMMUTATOR_TOL:
             cls = PairClass.UPPER_SATURATED
-            c_value = clusters[0]
+            c_value = c
         else:
             cls = PairClass.NEITHER_SATURATED
     elif abs(upper_gap) <= RESIDUAL_GAP_TOL:

@@ -59,10 +59,11 @@ def as_hermitian(m) -> np.ndarray:
         raise NonHermitianError(
             f"symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL * scale:.3e}"
         )
-    return _symmetrized(m)
+    return symmetrized(m)
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
+def symmetrized(m: np.ndarray) -> np.ndarray:
+    """The package's one symmetrizer: read-only ``(m + m†)/2`` of a trusted array."""
     return _frozen((m + m.conj().T) / 2.0)
 
 
@@ -125,7 +126,7 @@ def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
 
 
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:
-    return _symmetrized(decompose(h).apply(lambda w: np.sqrt(clamped_psd_eigenvalues(w))))
+    return symmetrized(decompose(h).apply(lambda w: np.sqrt(clamped_psd_eigenvalues(w))))
 
 
 def mat_sqrt(m) -> np.ndarray:
@@ -149,8 +150,8 @@ def m_from_spectrum(rho: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray
     """
     r_half = rho.apply(np.sqrt)
     r_inv_half = rho.apply(lambda w: 1.0 / np.sqrt(w))
-    mid = _psd_sqrt(_symmetrized(r_half @ sigma @ r_half))
-    return _symmetrized(r_inv_half @ mid @ r_inv_half)
+    mid = _psd_sqrt(symmetrized(r_half @ sigma @ r_half))
+    return symmetrized(r_inv_half @ mid @ r_inv_half)
 
 
 def _hermitian_pair(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:

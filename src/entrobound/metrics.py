@@ -64,6 +64,18 @@ def check_pair(rho: DensityOperator, sigma: DensityOperator) -> None:
         raise DimensionMismatchError(f"dims {rho.dim} vs {sigma.dim}")
 
 
+def check_classical_pair(p: ClassicalDist, q: ClassicalDist) -> None:
+    """Raise unless both distributions share one alphabet size."""
+    if p.size != q.size:
+        raise DimensionMismatchError(f"alphabets {p.size} vs {q.size}")
+
+
+def check_basis(measurement: Rank1Measurement, rho: DensityOperator) -> None:
+    """Raise unless the measurement acts on the state's space."""
+    if measurement.dim != rho.dim:
+        raise DimensionMismatchError(f"basis dim {measurement.dim} vs state dim {rho.dim}")
+
+
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of ``rho - sigma``."""
     check_pair(rho, sigma)
@@ -99,21 +111,18 @@ def distance_triple(rho: DensityOperator, sigma: DensityOperator) -> DistanceTri
 
 
 def classical_trace_distance(p: ClassicalDist, q: ClassicalDist) -> float:
-    if p.size != q.size:
-        raise DimensionMismatchError(f"alphabets {p.size} vs {q.size}")
+    check_classical_pair(p, q)
     return float(np.clip(0.5 * np.sum(np.abs(p.probs - q.probs)), 0.0, 1.0))
 
 
 def classical_fidelity(p: ClassicalDist, q: ClassicalDist) -> float:
-    if p.size != q.size:
-        raise DimensionMismatchError(f"alphabets {p.size} vs {q.size}")
+    check_classical_pair(p, q)
     return float(np.clip(np.sum(np.sqrt(p.probs * q.probs)), 0.0, 1.0))
 
 
 def measure(measurement: Rank1Measurement, rho: DensityOperator) -> ClassicalDist:
     """Outcome distribution ``p(x) = <e_x| rho |e_x>`` of a projective measurement."""
-    if measurement.dim != rho.dim:
-        raise DimensionMismatchError(f"basis dim {measurement.dim} vs state dim {rho.dim}")
+    check_basis(measurement, rho)
     b = measurement.basis
     p = np.real(np.einsum("ix,ij,jx->x", b.conj(), rho.matrix, b))
     return make_classical(np.maximum(p, 0.0))

@@ -10,9 +10,8 @@ from .states import (
     ClassicalDist,
     DensityOperator,
     QCState,
-    make_classical,
-    make_density,
-    make_qc_state,
+    trusted_classical,
+    trusted_density,
 )
 
 _TWO64 = 2**64
@@ -52,7 +51,7 @@ def sample_simplex(rng: RngHandle, n: int) -> ClassicalDist:
         g = rng.generator.standard_exponential(n)
         total = g.sum()
         if total > 0.0:
-            return make_classical(g / total)
+            return trusted_classical(g / total)
 
 
 def sample_haar_unitary(rng: RngHandle, d: int) -> np.ndarray:
@@ -77,12 +76,12 @@ def sample_density(rng: RngHandle, d: int) -> DensityOperator:
     """Random density operator: simplex eigenvalues in a Haar-random eigenbasis."""
     evals = sample_simplex(rng, d).probs
     u = sample_haar_unitary(rng, d)
-    return make_density((u * evals) @ u.conj().T)
+    return trusted_density((u * evals) @ u.conj().T)
 
 
 def _sample_qc_state(rng: RngHandle, d_a: int, d_b: int) -> QCState:
     weights = sample_simplex(rng, d_b).probs
-    return make_qc_state([(w, sample_density(rng, d_a)) for w in weights])
+    return QCState(tuple((float(w), sample_density(rng, d_a)) for w in weights))
 
 
 def sample_qc_pair(rng: RngHandle, d_a: int, d_b: int) -> tuple[QCState, QCState]:
@@ -131,7 +130,7 @@ def sample_classical_pair_at_angle(
                 tangent = t / norm
         s = np.cos(angle) * r + np.sin(angle) * tangent
         if np.all(s >= 0.0):
-            return make_classical(r * r), make_classical(s * s)
+            return trusted_classical(r * r), trusted_classical(s * s)
         rejects += 1
         if rejects >= max_rejects:
             raise RejectionBudgetExhaustedError(

@@ -49,7 +49,18 @@ class DensityOperator:
 
 def make_density(m) -> DensityOperator:
     """Validate ``m`` as a density operator (Hermitian, PSD, trace 1)."""
-    h = linalg.as_hermitian(m)
+    return trusted_density(linalg.as_hermitian(m))
+
+
+def trusted_density(m) -> DensityOperator:
+    """Density operator from a matrix the package built itself.
+
+    Skips the boundary check (shape, NaN/inf, symmetry residual) and only
+    symmetrizes.  The PSD clamp and the trace check stay: package arithmetic
+    can leave them unmet, e.g. ``qc_embed`` of weights and blocks that each
+    pass within ``TRACE_TOL`` can reach a trace of ``1 + 2 TRACE_TOL``.
+    """
+    h = linalg.symmetrized(np.asarray(m, dtype=complex))
     dec = linalg.decompose(h)
     linalg.clamped_psd_eigenvalues(dec.eigenvalues)
     trace = float(np.sum(dec.eigenvalues))
@@ -106,6 +117,7 @@ class ClassicalDist:
 
 
 def make_classical(p) -> ClassicalDist:
+    """Validate ``p`` as a probability vector (finite, nonnegative, sum 1)."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DimensionMismatchError(f"expected a probability vector, got shape {p.shape}")
@@ -115,6 +127,14 @@ def make_classical(p) -> ClassicalDist:
         raise OutOfRangeError(f"negative probability {float(p.min())!r}")
     if abs(float(p.sum()) - 1.0) > TRACE_TOL:
         raise TraceNotOneError(f"probabilities sum to {float(p.sum())!r}")
+    return trusted_classical(p)
+
+
+def trusted_classical(p: np.ndarray) -> ClassicalDist:
+    """Probability vector from a float array the package built itself.
+
+    Unchecked; entries within rounding below zero are clamped to zero.
+    """
     out = np.maximum(p, 0.0)
     out.setflags(write=False)
     return ClassicalDist(out)
@@ -141,15 +161,19 @@ def qc_embed(state: QCState) -> DensityOperator:
     for k, (w, rho) in enumerate(state.blocks):
         sl = slice(k * d_a, (k + 1) * d_a)
         out[sl, sl] = w * rho.matrix
-    return make_density(out)
+    return trusted_density(out)
+
+
+def _check_split(rho: DensityOperator, d_a: int, d_b: int) -> None:
+    if rho.dim != d_a * d_b:
+        raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
 
 
 def partial_trace_A(rho: DensityOperator, d_a: int, d_b: int) -> DensityOperator:
     """Trace out the A system (inner index), leaving a ``d_B`` density operator."""
-    if rho.dim != d_a * d_b:
-        raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
+    _check_split(rho, d_a, d_b)
     blocks = rho.matrix.reshape(d_b, d_a, d_b, d_a)
-    return make_density(np.einsum("kjlj->kl", blocks))
+    return trusted_density(np.einsum("kjlj->kl", blocks))
 
 
 def sqrt_vector(state: QCState) -> SqrtVector:
@@ -169,8 +193,7 @@ def is_qc_block_diagonal(rho: DensityOperator, d_a: int, d_b: int, tol: float = 
     This is deliberately not a basis search; a state counts as QC here only
     with respect to the fixed computational classical basis.
     """
-    if rho.dim != d_a * d_b:
-        raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
+    _check_split(rho, d_a, d_b)
     blocks = rho.matrix.reshape(d_b, d_a, d_b, d_a)
     off = blocks.copy()
     for k in range(d_b):
@@ -226,8 +249,7 @@ def qc_state_to_json(state: QCState) -> dict:
 
 
 def dense_state_to_json(rho: DensityOperator, d_a: int, d_b: int) -> dict:
-    if rho.dim != d_a * d_b:
-        raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
+    _check_split(rho, d_a, d_b)
     return {"dim_a": d_a, "dim_b": d_b, "kind": "dense", "matrix": _matrix_to_json(rho.matrix)}
 
 

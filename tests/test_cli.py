@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from entrobound import cli
+from entrobound import cli, linalg, states
 from entrobound.cli import (
     ExperimentConfig,
     bounds_compare,
@@ -96,6 +97,32 @@ class TestTables:
             assert row[3] == pytest.approx(row[4], abs=1e-9)
         by_lambda = {row[0]: row for row in rows}
         assert by_lambda[0.5][6] == 1  # the qubit-qubit violation
+
+    @pytest.mark.parametrize(
+        "table, config",
+        [
+            (fig1_scatter, cfg(n_samples=3)),
+            (counterexample_curve, cfg(subcommand="curve", lambda_step=0.25)),
+        ],
+    )
+    def test_package_built_states_skip_the_boundary_check(self, monkeypatch, table, config):
+        calls = []
+        original = linalg.as_hermitian
+
+        def counting(m):
+            calls.append(1)
+            return original(m)
+
+        # Rebind every module attribute that holds the function, not only linalg's.
+        for name, module in list(sys.modules.items()):
+            if name == "entrobound" or name.startswith("entrobound."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        table(config)
+        assert calls == []
+        states.make_density(np.eye(2) / 2)  # outside input still goes through the check
+        assert calls == [1]
 
     def test_fig1_single_row_is_deterministic(self):
         _, rows_a = fig1_scatter(cfg(n_samples=1, seed=123))

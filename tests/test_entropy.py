@@ -154,6 +154,19 @@ class TestLipschitzConstants:
         for d in range(5, 20):
             assert lipschitz_u(d) == pytest.approx(2 * math.log(d), abs=1e-14)
 
+    def test_against_mpmath_oracle(self):
+        # Tolerance fixed before measuring: 1e-12 relative, far above the
+        # bisection's 1e-14 bracket and far below any formula slip.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            x0 = mpmath.findroot(lambda x: mpmath.log(x) - 2 * (1 - 1 / x), mpmath.mpf("4.9"))
+            assert abs(LIPSCHITZ.x0 - x0) <= 1e-12 * x0
+            slope = 2 * mpmath.log(x0) / x0
+            for d in range(1, 11):
+                f = slope * (d - 1) if d <= x0 else mpmath.log(d) ** 2
+                u = 2 * mpmath.sqrt(f)
+                assert abs(lipschitz_u(d) - u) <= 1e-12 * u, d
+
     def test_qubit_value_against_reference_product(self):
         angle = math.acos(math.sqrt(5 / 8))
         assert lipschitz_u(2) * angle == pytest.approx(1.061, abs=1e-3)

@@ -26,6 +26,7 @@ from entrobound.states import (
     sqrt_vector,
     state_from_json,
     theta0,
+    trusted_density,
 )
 
 
@@ -68,6 +69,10 @@ class TestMakeDensity:
         with pytest.raises(OutOfRangeError):
             make_density(m)
 
+    def test_trusted_constructor_keeps_psd_check(self):
+        with pytest.raises(NegativeEigenvalueError):
+            trusted_density(np.diag([1.1, -0.1]))
+
     def test_validates_once(self, monkeypatch):
         calls = []
         original = linalg.as_hermitian
@@ -103,6 +108,14 @@ class TestQcEmbed:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(TraceNotOneError):
             qc((0.6, np.eye(2) / 2), (0.6, np.eye(2) / 2))
+
+    def test_compound_tolerance_trace_is_checked(self):
+        # Weights and blocks each pass within TRACE_TOL, but the embedded
+        # trace is (1 + 8e-10)(1 + 9e-10) = 1 + 1.7e-9.
+        block = np.diag([0.5 + 4.5e-10, 0.5 + 4.5e-10])
+        state = qc((0.5 + 4e-10, block), (0.5 + 4e-10, block))
+        with pytest.raises(TraceNotOneError):
+            qc_embed(state)
 
     def test_rejects_nan_weight(self):
         # A NaN weight makes the weight sum NaN, which the sum test alone passes.
