@@ -14,7 +14,7 @@ import pytest
 
 from conftest import rand_invertible_density, rand_pure_density
 
-from entrobound.cli import counterexample_scan, ExperimentConfig, family_closed_form, family_pair
+from entrobound.experiments import counterexample_scan, family_closed_form, family_pair
 from entrobound.entropy import (
     LIPSCHITZ,
     classical_conditional_entropy,
@@ -162,9 +162,7 @@ def test_criterion_4_fixed_angle_suite():
 
 def test_criterion_5_violation_scan():
     start = time.perf_counter()
-    header, rows = counterexample_scan(
-        ExperimentConfig(subcommand="scan", lambda_step=0.005)
-    )
+    header, rows = counterexample_scan(0.005)
     violating_cells = [(r[0], r[1]) for r in rows if r[3] > 1e-9]
 
     # contiguity of the violating lambda set on the base grid at (2, 2)

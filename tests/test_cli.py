@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from entrobound import cli, linalg, states
-from entrobound.cli import (
-    ExperimentConfig,
+from entrobound.cli import render_csv
+from entrobound.errors import OutOfRangeError
+from entrobound.experiments import (
     bounds_compare,
     counterexample_curve,
     counterexample_scan,
@@ -15,14 +16,10 @@ from entrobound.cli import (
     family_pair,
     fig1_scatter,
     fig2_fixed_angle,
-    render_csv,
 )
-from entrobound.errors import OutOfRangeError
 from entrobound.states import dense_state_to_json, make_density
 
-
-def cfg(**kwargs):
-    return ExperimentConfig(**{"subcommand": "fig1", **kwargs})
+SEED = cli.DEFAULT_SEED
 
 
 def write_pair(tmp_path, rho, sigma, name="pair.json"):
@@ -68,7 +65,7 @@ class TestFamily:
 
 class TestTables:
     def test_fig1_rows_respect_bound(self):
-        header, rows = fig1_scatter(cfg(n_samples=50, seed=5))
+        header, rows = fig1_scatter(2, 2, 50, 5)
         assert header == ["angular", "entropy_diff", "bound"]
         assert len(rows) == 50
         cap = math.log(2)
@@ -78,15 +75,14 @@ class TestTables:
         assert rows == sorted(rows)
 
     def test_fig2_rows(self):
-        config = cfg(subcommand="fig2", n_samples=20, angles=(1e-6, 5e-6), seed=6)
-        header, rows = fig2_fixed_angle(config)
+        header, rows = fig2_fixed_angle(2, 2, 20, 6, angles=(1e-6, 5e-6))
         assert len(rows) == 40
         for angle, diff, bound in rows:
             assert diff <= bound + 1e-12
             assert min(abs(angle - 1e-6), abs(angle - 5e-6)) <= 1e-9
 
     def test_curve_routes_agree(self):
-        header, rows = counterexample_curve(cfg(subcommand="curve", lambda_step=0.1))
+        header, rows = counterexample_curve(2, 2, 0.1)
         assert rows[0][0] == 0.0
         assert rows[0][3] == 0.0  # equal states at lambda = 0
         for row in rows:
@@ -101,8 +97,8 @@ class TestTables:
     @pytest.mark.parametrize(
         "table, config",
         [
-            (fig1_scatter, cfg(n_samples=3)),
-            (counterexample_curve, cfg(subcommand="curve", lambda_step=0.25)),
+            (fig1_scatter, (2, 2, 3, SEED)),
+            (counterexample_curve, (2, 2, 0.25)),
         ],
     )
     def test_package_built_states_skip_the_boundary_check(self, monkeypatch, table, config):
@@ -119,23 +115,23 @@ class TestTables:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
-        table(config)
+        table(*config)
         assert calls == []
         states.make_density(np.eye(2) / 2)  # outside input still goes through the check
         assert calls == [1]
 
     def test_fig1_single_row_is_deterministic(self):
-        _, rows_a = fig1_scatter(cfg(n_samples=1, seed=123))
-        _, rows_b = fig1_scatter(cfg(n_samples=1, seed=123))
+        _, rows_a = fig1_scatter(2, 2, 1, 123)
+        _, rows_b = fig1_scatter(2, 2, 1, 123)
         assert rows_a == rows_b
         assert len(rows_a) == 1
 
     def test_curve_large_da_never_violates(self):
-        _, rows = counterexample_curve(cfg(subcommand="curve", d_a=8, d_b=2, lambda_step=0.02))
+        _, rows = counterexample_curve(8, 2, 0.02)
         assert all(row[6] == 0 for row in rows)
 
     def test_converted_bound_cannot_beat_audenaert_at_small_t(self):
-        header, rows = bounds_compare(cfg(subcommand="compare", d_a=2, lambda_step=0.02))
+        header, rows = bounds_compare(2, 0.02)
         row = dict(zip(header, rows[1]))
         assert row["trace_distance"] == pytest.approx(0.02)
         assert row["angular_conversion"] == pytest.approx(0.3224, abs=1e-4)
@@ -143,7 +139,7 @@ class TestTables:
         assert row["angular_conversion"] > row["audenaert"]
 
     def test_scan_flags_only_the_qubit_cell(self):
-        header, rows = counterexample_scan(cfg(subcommand="scan", lambda_step=0.05))
+        header, rows = counterexample_scan(0.05)
         violating = [r for r in rows if r[3] > 1e-9]
         assert [(r[0], r[1]) for r in violating] == [(2, 2)]
         row = violating[0]
@@ -151,7 +147,7 @@ class TestTables:
         assert row[3] == pytest.approx(0.0132, abs=2e-3)
 
     def test_compare_columns(self):
-        header, rows = bounds_compare(cfg(subcommand="compare", d_a=4, lambda_step=0.5))
+        header, rows = bounds_compare(4, 0.5)
         assert header[0] == "trace_distance"
         first = dict(zip(header, rows[0]))
         assert first["audenaert"] == 0.0
@@ -162,8 +158,8 @@ class TestTables:
 
 class TestRendering:
     def test_csv_is_deterministic(self):
-        a = render_csv(fig1_scatter(cfg(n_samples=20, seed=9)))
-        b = render_csv(fig1_scatter(cfg(n_samples=20, seed=9)))
+        a = render_csv(fig1_scatter(2, 2, 20, 9))
+        b = render_csv(fig1_scatter(2, 2, 20, 9))
         assert a == b
         assert a.splitlines()[0] == "angular,entropy_diff,bound"
 
@@ -287,14 +283,64 @@ class TestMain:
     def test_bad_sample_count_exit_2(self):
         assert cli.main(["fig1", "--n", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "subcommand, flag",
+        [
+            ("fig1", "--lambda-step"), ("fig1", "--angles"),
+            ("fig2", "--lambda-step"),
+            ("curve", "--n"), ("curve", "--full"), ("curve", "--seed"), ("curve", "--angles"),
+            ("scan", "--da"), ("scan", "--db"), ("scan", "--n"), ("scan", "--full"),
+            ("scan", "--seed"), ("scan", "--angles"),
+            ("compare", "--db"), ("compare", "--n"), ("compare", "--full"),
+            ("compare", "--seed"), ("compare", "--angles"),
+        ],
+    )
+    def test_table_subcommands_reject_options_they_do_not_read(self, capsys, subcommand, flag):
+        argv = [subcommand, flag] + ([] if flag == "--full" else ["0.1"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_curve_resolves_no_seed(self, tmp_path, monkeypatch):
+        out = tmp_path / "curve.csv"
+        monkeypatch.setenv("ENTROBOUND_SEED", "abc")
+        assert cli.main(["curve", "--lambda-step", "0.5", "--out", str(out)]) == 0
+        assert out.read_text().startswith("lambda,")
+        assert cli.main(["fig1", "--n", "1"]) == 2  # fig1 does resolve one
+
+    def test_sample_dense_rejects_dims_below_one(self, tmp_path):
+        # The product of the two dimensions is 2, a valid joint dimension.
+        path = tmp_path / "pair.json"
+        argv = ["sample", "--kind", "dense", "--da", "-1", "--db", "-2", "--out", str(path)]
+        assert cli.main(argv) == 2
+        assert not path.exists()
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(OutOfRangeError):
-            cfg(n_samples=0)
+            fig1_scatter(2, 2, 0, SEED)
         with pytest.raises(OutOfRangeError):
-            cfg(lambda_step=0.0)
+            counterexample_curve(2, 2, 0.0)
         with pytest.raises(OutOfRangeError):
-            cfg(angles=(0.0,))
+            fig2_fixed_angle(2, 2, 1, SEED, angles=(0.0,))
         with pytest.raises(OutOfRangeError):
-            cfg(d_a=0)
+            fig1_scatter(0, 2, 1, SEED)
+
+    def test_each_reader_checks_its_values(self):
+        # Each value is checked by the operation or helper that reads it.
+        with pytest.raises(OutOfRangeError):
+            fig2_fixed_angle(2, 2, 0, SEED)
+        with pytest.raises(OutOfRangeError):
+            counterexample_scan(1.5)
+        with pytest.raises(OutOfRangeError):
+            bounds_compare(2, math.nan)
+        with pytest.raises(OutOfRangeError):
+            fig1_scatter(2, 0, 1, SEED)
+        with pytest.raises(OutOfRangeError):
+            fig2_fixed_angle(2, 0, 1, SEED)
+        with pytest.raises(OutOfRangeError):
+            counterexample_curve(0, 2, 0.5)
+        with pytest.raises(OutOfRangeError):
+            counterexample_curve(2, 0, 0.5)  # d_B = 0 would reach log(0)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import rand_invertible_density, rand_pure_density
 
+from entrobound import states
 from entrobound.errors import DimensionMismatchError, NotOrthonormalError
 from entrobound.metrics import (
     angular_distance,
@@ -130,6 +133,27 @@ class TestMeasure:
     def test_hadamard_on_pure_zero(self):
         got = measure(make_measurement(HADAMARD), diag_density(1.0, 0.0))
         assert_allclose(got.probs, [0.5, 0.5], atol=1e-14)
+
+    def test_outcomes_are_not_rechecked(self, monkeypatch):
+        # Each input passes its own check, but the outcomes sum to
+        # 1 + 1.088e-9, beyond make_classical's trace tolerance of 1e-9.
+        rho = make_density(np.diag([0.5 + 9.9e-10, 0.5]))
+        basis = make_measurement((1 + 4.9e-11) * np.eye(2))
+        calls = []
+        original = states.make_classical
+
+        def counting(p):
+            calls.append(1)
+            return original(p)
+
+        for name, module in list(sys.modules.items()):
+            if name == "entrobound" or name.startswith("entrobound."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        got = measure(basis, rho)
+        assert calls == []
+        assert float(got.probs.sum()) == pytest.approx(1 + 1.088e-9, abs=1e-12)
 
     def test_rejects_skew_basis(self):
         with pytest.raises(NotOrthonormalError):
