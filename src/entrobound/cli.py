@@ -23,6 +23,7 @@ error, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -47,6 +48,7 @@ from .experiments import (
 from .fvdg import classify_pair
 from .sampling import RngHandle, sample_density, sample_qc_pair
 from .states import (
+    check_dimension,
     dense_state_to_json,
     load_state_pair,
     qc_state_to_json,
@@ -170,9 +172,7 @@ def _run_sample(args: argparse.Namespace) -> None:
         pair = {"rho": qc_state_to_json(left), "sigma": qc_state_to_json(right)}
     else:
         # A dense state sees only the product of the two dimensions.
-        if args.da < 1 or args.db < 1:
-            raise OutOfRangeError(f"need --da, --db >= 1, got ({args.da}, {args.db})")
-        dim = args.da * args.db
+        dim = check_dimension(args.da) * check_dimension(args.db)
         pair = {
             "rho": dense_state_to_json(sample_density(rng, dim), args.da, args.db),
             "sigma": dense_state_to_json(sample_density(rng, dim), args.da, args.db),
@@ -212,7 +212,12 @@ def _sample_count(args: argparse.Namespace) -> int:
     return 100_000 if args.full else 10_000
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    Each ``parse_args`` call still returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="entrobound",
         description="Entropy continuity-bound experiments and saturation diagnostics.",

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, OutOfRangeError
 from .states import (
-    ClassicalDist, DensityOperator, SqrtVector, make_classical, partial_trace_A, theta0
+    ClassicalDist, DensityOperator, SqrtVector, check_dimension, make_classical,
+    partial_trace_A, theta0,
 )
 
 _X0_BISECTION_TOL = 1e-14
@@ -69,13 +70,7 @@ class LipschitzConstants:
         integrality of the dimension, and ``u(d) = 2 ln d`` exactly once
         d >= 5 > x0.
         """
-        return 2.0 * math.sqrt(self.majorant(float(_dimension(d))))
-
-
-def _dimension(d, least: int = 1) -> int:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least:
-        raise OutOfRangeError(f"dimension must be an integer >= {least}, got {d!r}")
-    return int(d)
+        return 2.0 * math.sqrt(self.majorant(float(check_dimension(d))))
 
 
 def _make_constants() -> LipschitzConstants:
@@ -92,7 +87,8 @@ def lipschitz_u(d: int) -> float:
 
 
 def _entropy_of_probabilities(w: np.ndarray) -> float:
-    w = np.maximum(np.asarray(w, dtype=float), 0.0)
+    # Every caller passes entries >= 0: stored spectra and probabilities are
+    # clamped where they are built.
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
@@ -121,7 +117,7 @@ def audenaert_bound(trace_dist: float, d: int) -> float:
     the formula value is 0.
     """
     t = _check_trace_distance(trace_dist)
-    return t * math.log(_dimension(d, 2) - 1) + binary_entropy(t)
+    return t * math.log(check_dimension(d, 2) - 1) + binary_entropy(t)
 
 
 def winter_bound(trace_dist: float, d_a: int) -> float:
@@ -131,7 +127,7 @@ def winter_bound(trace_dist: float, d_a: int) -> float:
     dimension but with unbounded slope at T = 0.
     """
     t = _check_trace_distance(trace_dist)
-    return 2.0 * t * math.log(_dimension(d_a)) + (1.0 + t) * binary_entropy(t / (1.0 + t))
+    return 2.0 * t * math.log(check_dimension(d_a)) + (1.0 + t) * binary_entropy(t / (1.0 + t))
 
 
 def _check_trace_distance(trace_dist: float) -> float:
@@ -157,7 +153,8 @@ def naive_conditional_bound(angle: float, d_a: int, d_b: int) -> float:
     Kept as the comparison baseline: it grows with the conditioning dimension,
     which is exactly what the QC bound avoids.
     """
-    return (lipschitz_u(_dimension(d_a) * _dimension(d_b)) + lipschitz_u(d_b)) * _check_angle(angle)
+    u_joint = lipschitz_u(check_dimension(d_a) * check_dimension(d_b))
+    return (u_joint + lipschitz_u(d_b)) * _check_angle(angle)
 
 
 def qc_continuity_bound(angle: float, d_a: int) -> float:

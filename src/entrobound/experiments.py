@@ -33,8 +33,8 @@ from .entropy import (
 )
 from .errors import OutOfRangeError
 from .metrics import angular_distance, classical_fidelity
-from .sampling import RngHandle, sample_classical_pair_at_angle, sample_qc_pair
-from .states import qc_embed, trusted_density
+from .sampling import RngHandle, check_sampler_angle, sample_classical_pair_at_angle, sample_qc_pair
+from .states import check_dimension, qc_embed, trusted_density
 
 # Grid threshold above which a bound excess counts as a violation.
 VIOLATION_TOL = 1e-9
@@ -73,7 +73,8 @@ def family_closed_form(d_a: int, d_b: int, lam: float) -> tuple[float, float]:
         raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam}")
     d_m = min(d_a, d_b)
     d = d_a * d_b
-    angle = math.acos(min(1.0, math.sqrt(max(0.0, 1.0 - (d - 1) / d * lam))))
+    # lam in [0, 1] puts the fidelity's square in [1/d, 1].
+    angle = math.acos(math.sqrt(1.0 - (d - 1) / d * lam))
     diff = (
         -math.log(d_m)
         + _xlogx(1.0 - (d - 1) * lam / d)
@@ -103,7 +104,7 @@ def fig1_scatter(d_a: int, d_b: int, n_samples: int, seed: int) -> Table:
         raise OutOfRangeError(f"n_samples must be >= 1, got {n_samples}")
     rng = RngHandle(seed)
     u = lipschitz_u(d_a)
-    cap = math.log(d_a) if d_a > 1 else 0.0
+    cap = math.log(d_a)
     rows = []
     for _ in range(n_samples):
         left, right = sample_qc_pair(rng, d_a, d_b)
@@ -125,10 +126,13 @@ def fig2_fixed_angle(
 
     ``angles`` defaults to 1e-6, 2e-6, ..., 1e-5.  Each angle gets its own
     derived stream, so output is independent of how angles are scheduled.
+    Every angle is checked before the first draw.
     """
     if n_samples < 1:
         raise OutOfRangeError(f"n_samples must be >= 1, got {n_samples}")
     angles = sorted(angles) if angles else [i * 1e-6 for i in range(1, 11)]
+    for angle in angles:
+        check_sampler_angle(angle)
     base = RngHandle(seed)
     u = lipschitz_u(d_a)
     dim = d_a * d_b
@@ -137,7 +141,7 @@ def fig2_fixed_angle(
         rng = base.stream(i)
         for _ in range(n_samples):
             p, q = sample_classical_pair_at_angle(rng, dim, angle)
-            measured = math.acos(min(1.0, classical_fidelity(p, q)))
+            measured = math.acos(classical_fidelity(p, q))
             diff = abs(
                 classical_conditional_entropy(p, d_a, d_b)
                 - classical_conditional_entropy(q, d_a, d_b)
@@ -149,8 +153,7 @@ def fig2_fixed_angle(
 
 def counterexample_curve(d_a: int, d_b: int, lambda_step: float) -> Table:
     """Interpolation family along lambda, closed form next to matrix route."""
-    if d_b < 1:
-        raise OutOfRangeError(f"d_b must be >= 1, got {d_b}")
+    check_dimension(d_b)
     u = lipschitz_u(d_a)
     rows = []
     for lam in _lambda_grid(lambda_step):

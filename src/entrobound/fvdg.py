@@ -29,7 +29,6 @@ from .metrics import (
     check_classical_pair,
     check_pair,
     distance_triple,
-    make_measurement,
 )
 from .states import ClassicalDist, DensityOperator
 
@@ -112,7 +111,7 @@ def trace_optimal_measurements(rho: DensityOperator, sigma: DensityOperator) -> 
     """An eigenbasis of ``rho - sigma``; always achieves ``T_c = T``."""
     check_pair(rho, sigma)
     dec = linalg.decompose(rho.matrix - sigma.matrix)
-    return make_measurement(dec.eigenvectors)
+    return Rank1Measurement(dec.eigenvectors)
 
 
 def _check_measurement(
@@ -156,7 +155,7 @@ def fidelity_optimal_measurement(
 ) -> Rank1Measurement:
     """An eigenbasis of ``M = rho^{-1} # sigma``; achieves ``F_c = F``."""
     check_pair(rho, sigma)
-    return make_measurement(linalg.decompose(_m_of_invertible_pair(rho, sigma)).eigenvectors)
+    return Rank1Measurement(linalg.decompose(_m_of_invertible_pair(rho, sigma)).eigenvectors)
 
 
 def is_fidelity_optimal(
@@ -258,7 +257,8 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
     if diff_norm <= EQUAL_TOL:
         cls = PairClass.EQUAL
     elif invertible:
-        c = _reciprocal_pair(_cluster_values(np.sort(spectrum), SPECTRAL_CLUSTER_TOL))
+        # eigvalsh returns the spectrum ascending, as clustering needs.
+        c = _reciprocal_pair(_cluster_values(spectrum, SPECTRAL_CLUSTER_TOL))
         if c is not None and residual <= COMMUTATOR_TOL:
             cls = PairClass.UPPER_SATURATED
             c_value = c

@@ -117,12 +117,14 @@ def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues in ``[-PSD_CLAMP_TOL, 0)`` to zero.
 
     Anything below the clamp window indicates invalid (non-PSD) input rather
-    than rounding, and raises.
+    than rounding, and raises.  The package's one PSD clamp: a density's
+    stored spectrum (``states.trusted_density``) and ``_psd_sqrt`` call it,
+    and nothing downstream of either clamps again.
     """
     lo = float(np.min(w))
     if lo < -PSD_CLAMP_TOL:
         raise NegativeEigenvalueError(f"eigenvalue {lo:.3e} below -{PSD_CLAMP_TOL:.0e}")
-    return np.maximum(w, 0.0)
+    return _frozen(np.maximum(w, 0.0))
 
 
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ class DistanceTriple:
 
     def fvdg_gaps(self) -> tuple[float, float]:
         """``(T - (1 - F), sqrt(1 - F^2) - T)``, the Fuchs-van de Graaf slacks."""
-        upper = float(np.sqrt(max(0.0, 1.0 - self.fidelity**2)))
+        # ``fidelity`` clips F to [0, 1], so the root's argument is >= 0.
+        upper = float(np.sqrt(1.0 - self.fidelity**2))
         return self.trace_distance - (1.0 - self.fidelity), upper - self.trace_distance
 
 
@@ -87,12 +88,13 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Root fidelity, computed from the spectrum of ``sqrt(rho) sigma sqrt(rho)``.
 
     That route keeps the result symmetric in the pair to rounding and avoids
-    a polar decomposition.  Eigenvalues below a relative floor are clamped to
-    zero before the square root: eigensolver noise sits at ~1e-16 and taking
-    its square root would otherwise inject ~1e-8 per spurious eigenvalue.
+    a polar decomposition.  ``rho``'s stored spectrum is already clamped at
+    zero.  Eigenvalues of the product below a relative floor are zeroed
+    before the square root: eigensolver noise sits at ~1e-16 and taking its
+    square root would otherwise inject ~1e-8 per spurious eigenvalue.
     """
     check_pair(rho, sigma)
-    sq = rho.spectrum.apply(lambda w: np.sqrt(np.maximum(w, 0.0)))
+    sq = rho.spectrum.apply(np.sqrt)
     w = np.linalg.eigvalsh(sq @ sigma.matrix @ sq)
     top = max(float(np.max(w)), 0.0)
     w = np.where(w > 1e-14 * top, w, 0.0)

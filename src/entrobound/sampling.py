@@ -10,6 +10,7 @@ from .states import (
     ClassicalDist,
     DensityOperator,
     QCState,
+    check_dimension,
     trusted_classical,
     trusted_density,
 )
@@ -45,8 +46,7 @@ def sample_simplex(rng: RngHandle, n: int) -> ClassicalDist:
     Normalized unit-rate exponentials, the standard exact construction
     (equivalently a flat Dirichlet).
     """
-    if n < 1:
-        raise OutOfRangeError(f"need n >= 1, got {n}")
+    n = check_dimension(n)
     while True:
         g = rng.generator.standard_exponential(n)
         total = g.sum()
@@ -61,8 +61,7 @@ def sample_haar_unitary(rng: RngHandle, d: int) -> np.ndarray:
     factor has a real positive diagonal — without that correction the
     distribution is not invariant.
     """
-    if d < 1:
-        raise OutOfRangeError(f"need d >= 1, got {d}")
+    d = check_dimension(d)
     gen = rng.generator
     z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -91,9 +90,14 @@ def sample_qc_pair(rng: RngHandle, d_a: int, d_b: int) -> tuple[QCState, QCState
     density with simplex eigenvalues conjugated by an independent Haar
     unitary.
     """
-    if d_a < 1 or d_b < 1:
-        raise OutOfRangeError(f"need d_a, d_b >= 1, got ({d_a}, {d_b})")
+    d_a, d_b = check_dimension(d_a), check_dimension(d_b)
     return _sample_qc_state(rng, d_a, d_b), _sample_qc_state(rng, d_a, d_b)
+
+
+def check_sampler_angle(angle: float) -> None:
+    """The one check of an angle for ``sample_classical_pair_at_angle``: in (0, pi/2)."""
+    if not 0.0 < angle < np.pi / 2:
+        raise OutOfRangeError(f"angle must lie in (0, pi/2), got {angle}")
 
 
 def sample_classical_pair_at_angle(
@@ -109,10 +113,8 @@ def sample_classical_pair_at_angle(
     rejected (rare for small angles); a direction numerically parallel to r
     is resampled internally and never counts as a rejection.
     """
-    if d < 2:
-        raise OutOfRangeError(f"need d >= 2, got {d}")
-    if not 0.0 < angle < np.pi / 2:
-        raise OutOfRangeError(f"angle must lie in (0, pi/2), got {angle}")
+    d = check_dimension(d, 2)
+    check_sampler_angle(angle)
     if max_rejects < 1:
         raise OutOfRangeError(f"need max_rejects >= 1, got {max_rejects}")
     gen = rng.generator

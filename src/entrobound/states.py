@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    EntroboundError,
     OutOfRangeError,
     StateFormatError,
     TraceNotOneError,
@@ -25,6 +26,16 @@ from .errors import (
 
 TRACE_TOL = 1e-9
 WEIGHT_TOL = 1e-12
+
+
+def check_dimension(d, least: int = 1) -> int:
+    """The package's one check of an outside dimension: an integer >= ``least``.
+
+    Bools and floats (even integral ones such as 2.0) are rejected.
+    """
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least:
+        raise OutOfRangeError(f"dimension must be an integer >= {least}, got {d!r}")
+    return int(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +70,16 @@ def trusted_density(m) -> DensityOperator:
     symmetrizes.  The PSD clamp and the trace check stay: package arithmetic
     can leave them unmet, e.g. ``qc_embed`` of weights and blocks that each
     pass within ``TRACE_TOL`` can reach a trace of ``1 + 2 TRACE_TOL``.
+    The stored spectrum is the clamped one, so every reader of a density's
+    eigenvalues sees them >= 0; the trace check sums the unclamped ones.
     """
     h = linalg.symmetrized(np.asarray(m, dtype=complex))
     dec = linalg.decompose(h)
-    linalg.clamped_psd_eigenvalues(dec.eigenvalues)
+    w = linalg.clamped_psd_eigenvalues(dec.eigenvalues)
     trace = float(np.sum(dec.eigenvalues))
     if abs(trace - 1.0) > TRACE_TOL:
         raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL:.0e}")
-    return DensityOperator(h, dec)
+    return DensityOperator(h, linalg.SpectralDecomposition(w, dec.eigenvectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +102,10 @@ class QCState:
 
 
 def make_qc_state(blocks) -> QCState:
-    """Validate block weights and conditional dimensions."""
+    """Validate block weights and conditional dimensions.
+
+    Weights within ``WEIGHT_TOL`` below zero are stored as 0.
+    """
     blocks = tuple((float(w), rho) for w, rho in blocks)
     if not blocks:
         raise DimensionMismatchError("QC state needs at least one block")
@@ -102,7 +118,7 @@ def make_qc_state(blocks) -> QCState:
     total = sum(w for w, _ in blocks)
     if abs(total - 1.0) > TRACE_TOL:
         raise TraceNotOneError(f"block weights sum to {total!r}")
-    return QCState(blocks)
+    return QCState(tuple((max(w, 0.0), rho) for w, rho in blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +197,7 @@ def sqrt_vector(state: QCState) -> SqrtVector:
     d_a, d_b = state.dim_a, state.dim_b
     entries = np.empty(d_a * d_b)
     for k, (w, rho) in enumerate(state.blocks):
-        p = linalg.clamped_psd_eigenvalues(rho.spectrum.eigenvalues)[::-1]
-        entries[k * d_a : (k + 1) * d_a] = np.sqrt(max(w, 0.0) * p)
+        entries[k * d_a : (k + 1) * d_a] = np.sqrt(w * rho.eigenvalues[::-1])
     entries.setflags(write=False)
     return SqrtVector(entries, d_a, d_b)
 
@@ -258,13 +273,11 @@ def state_from_json(obj) -> tuple[DensityOperator, int, int]:
     if not isinstance(obj, dict):
         raise StateFormatError(f"state must be an object, got {type(obj).__name__}")
     try:
-        d_a = int(obj["dim_a"])
-        d_b = int(obj["dim_b"])
+        d_a = check_dimension(obj["dim_a"])
+        d_b = check_dimension(obj["dim_b"])
         kind = obj["kind"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, OutOfRangeError) as exc:
         raise StateFormatError(f"missing or malformed header field: {exc}") from exc
-    if d_a < 1 or d_b < 1:
-        raise StateFormatError(f"dims must be positive, got ({d_a}, {d_b})")
     try:
         if kind == "qc":
             blocks = [
@@ -284,9 +297,9 @@ def state_from_json(obj) -> tuple[DensityOperator, int, int]:
             return rho, d_a, d_b
     except StateFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateFormatError(f"malformed {kind!r} state: {exc}") from exc
-    except Exception as exc:  # validation errors from make_density etc.
+    except EntroboundError as exc:  # validation errors from make_density etc.
         raise StateFormatError(f"invalid {kind!r} state: {exc}") from exc
     raise StateFormatError(f"unknown state kind {kind!r}")
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from entrobound import cli, linalg, states
+from entrobound import cli, experiments, linalg, states
 from entrobound.cli import render_csv
 from entrobound.errors import OutOfRangeError
 from entrobound.experiments import (
@@ -236,7 +236,7 @@ class TestMain:
         assert cli.main(["classify", str(path)]) == 2
 
     def test_classify_header_overflow_exits_2(self, tmp_path):
-        # JSON reads 1e400 as inf, which int() cannot convert.
+        # JSON reads 1e400 as inf, a float, which the dimension check rejects.
         blob = {
             "rho": dense_state_to_json(make_density(np.diag([0.6, 0.4])), 2, 1),
             "sigma": dense_state_to_json(make_density(np.diag([0.5, 0.5])), 2, 1),
@@ -244,6 +244,16 @@ class TestMain:
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(blob).replace('"dim_a": 2', '"dim_a": 1e400', 1))
         assert "1e400" in path.read_text()
+        assert cli.main(["classify", str(path)]) == 2
+
+    @pytest.mark.parametrize("dim", ["2.7", '"2"', "2.0"])
+    def test_classify_header_dims_must_be_json_integers(self, tmp_path, dim):
+        blob = {
+            "rho": dense_state_to_json(make_density(np.diag([0.6, 0.4])), 2, 1),
+            "sigma": dense_state_to_json(make_density(np.diag([0.5, 0.5])), 2, 1),
+        }
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(blob).replace('"dim_a": 2', f'"dim_a": {dim}'))
         assert cli.main(["classify", str(path)]) == 2
 
     def test_classify_non_finite_entry_exits_2(self, tmp_path):
@@ -309,6 +319,13 @@ class TestMain:
         assert out.read_text().startswith("lambda,")
         assert cli.main(["fig1", "--n", "1"]) == 2  # fig1 does resolve one
 
+    def test_parser_is_built_once(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = parser.parse_args(["fig1", "--n", "3"])
+        second = parser.parse_args(["fig1"])
+        assert first is not second and (first.n, second.n) == (3, None)
+
     def test_sample_dense_rejects_dims_below_one(self, tmp_path):
         # The product of the two dimensions is 2, a valid joint dimension.
         path = tmp_path / "pair.json"
@@ -344,3 +361,16 @@ class TestConfigValidation:
             counterexample_curve(0, 2, 0.5)
         with pytest.raises(OutOfRangeError):
             counterexample_curve(2, 0, 0.5)  # d_B = 0 would reach log(0)
+
+    def test_fig2_checks_every_angle_before_drawing(self, monkeypatch):
+        calls = []
+        original = experiments.sample_classical_pair_at_angle
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_classical_pair_at_angle", counting)
+        with pytest.raises(OutOfRangeError):
+            fig2_fixed_angle(2, 2, 1000, SEED, angles=(1e-6, 2.0))
+        assert calls == []

@@ -78,11 +78,20 @@ class TestSampleSimplex:
         with pytest.raises(OutOfRangeError):
             sample_simplex(RngHandle(5), 0)
 
+    def test_rejects_a_non_integer_size(self):
+        with pytest.raises(OutOfRangeError):
+            sample_simplex(RngHandle(5), 2.0)
+
 
 class TestSampleHaarUnitary:
     def test_scalar_case(self):
         u = sample_haar_unitary(RngHandle(6), 1)
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("d", [0, True, 2.0])
+    def test_rejects_dims_that_are_not_integers_from_one(self, d):
+        with pytest.raises(OutOfRangeError):
+            sample_haar_unitary(RngHandle(6), d)
 
     def test_unitarity_in_bulk(self):
         rng = RngHandle(7)
@@ -131,6 +140,11 @@ class TestSampleQcPair:
         with pytest.raises(OutOfRangeError):
             sample_qc_pair(RngHandle(13), 0, 2)
 
+    @pytest.mark.parametrize("dims", [(2, 0), (2.0, 2), (2, 2.0)])
+    def test_rejects_dims_that_are_not_integers_from_one(self, dims):
+        with pytest.raises(OutOfRangeError):
+            sample_qc_pair(RngHandle(13), *dims)
+
 
 class TestSampleClassicalPairAtAngle:
     @pytest.mark.parametrize("angle", [1e-6, 1e-3, 0.3, 1.0])
@@ -170,6 +184,7 @@ class TestSampleClassicalPairAtAngle:
         {"d": 4, "angle": 0.0},
         {"d": 4, "angle": np.pi / 2},
         {"d": 4, "angle": 0.1, "max_rejects": 0},
+        {"d": 4.0, "angle": 0.1},
     ])
     def test_domain(self, kwargs):
         with pytest.raises(OutOfRangeError):

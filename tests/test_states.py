@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entrobound import linalg
+from entrobound import linalg, states
 from entrobound.errors import (
     DimensionMismatchError,
     NegativeEigenvalueError,
@@ -15,6 +15,7 @@ from entrobound.errors import (
 from entrobound.metrics import angular_distance
 from entrobound.sampling import RngHandle, sample_qc_pair
 from entrobound.states import (
+    check_dimension,
     dense_state_to_json,
     load_state_pair,
     make_classical,
@@ -85,6 +86,14 @@ class TestMakeDensity:
         make_density(np.diag([0.7, 0.3]))
         assert len(calls) == 1
 
+    def test_stored_spectrum_is_clamped(self):
+        # eigh leaves the zero eigenvalues of a pure state at about -1e-16.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            v /= np.linalg.norm(v)
+            assert np.min(make_density(np.outer(v, v.conj())).eigenvalues) >= 0.0
+
 
 class TestQcEmbed:
     def test_single_block(self):
@@ -116,6 +125,11 @@ class TestQcEmbed:
         state = qc((0.5 + 4e-10, block), (0.5 + 4e-10, block))
         with pytest.raises(TraceNotOneError):
             qc_embed(state)
+
+    def test_weights_within_tolerance_below_zero_are_stored_as_zero(self):
+        state = qc((1.0 + 1e-13, np.eye(2) / 2), (-1e-13, np.eye(2) / 2))
+        assert state.blocks[1][0] == 0.0
+        assert np.min(state.weights) == 0.0
 
     def test_rejects_nan_weight(self):
         # A NaN weight makes the weight sum NaN, which the sum test alone passes.
@@ -159,6 +173,19 @@ class TestSqrtVector:
         assert_allclose(
             v.entries, [np.sqrt(0.6), np.sqrt(0.15), np.sqrt(0.125), np.sqrt(0.125)]
         )
+
+    def test_reads_the_stored_clamp(self, monkeypatch):
+        state = qc((0.5, np.diag([1.0, 0.0])), (0.5, np.eye(2) / 2))
+        calls = []
+        original = linalg.clamped_psd_eigenvalues
+
+        def counting(w):
+            calls.append(1)
+            return original(w)
+
+        monkeypatch.setattr(linalg, "clamped_psd_eigenvalues", counting)
+        sqrt_vector(state)
+        assert calls == []
 
     def test_unit_norm_and_nonnegative(self):
         rng = RngHandle(42)
@@ -283,11 +310,36 @@ class TestJsonFormat:
         assert_allclose(got_rho.matrix, rho.matrix)
         assert_allclose(got_sigma.matrix, sigma.matrix)
 
+    def test_internal_faults_are_not_reported_as_invalid_files(self, tmp_path, monkeypatch):
+        rho = dense_state_to_json(make_density(np.diag([0.8, 0.2])), 2, 1)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"rho": rho, "sigma": rho}))
+
+        def fault(m):
+            raise ZeroDivisionError("fault inside parsing")
+
+        monkeypatch.setattr(states, "make_density", fault)
+        with pytest.raises(ZeroDivisionError):
+            load_state_pair(str(path))
+
     def test_pair_file_bad_json(self, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text("{not json")
         with pytest.raises(StateFormatError):
             load_state_pair(str(path))
+
+
+@pytest.mark.parametrize("d", [0, -3, 2.0, 2.7, "2", True, None])
+def test_check_dimension_rejects(d):
+    with pytest.raises(OutOfRangeError):
+        check_dimension(d)
+
+
+def test_check_dimension_accepts_integers():
+    assert check_dimension(np.int64(3)) == 3 and type(check_dimension(np.int64(3))) is int
+    assert check_dimension(2, 2) == 2
+    with pytest.raises(OutOfRangeError):
+        check_dimension(1, 2)
 
 
 def test_classical_dist_validation():
