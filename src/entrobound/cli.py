@@ -13,21 +13,26 @@ tables come from ``entrobound.experiments``:
   classify  Fuchs-van de Graaf saturation verdict for a state-pair file
   sample    write a random state pair in the JSON state format
 
-Each table subcommand accepts only the options its operation reads, plus
-``--out`` and ``--format``.  CSV is the artifact of record (floats at 17
-significant digits, canonical row order, so equal seeds give byte-identical
-output); SVG output is presentation-only.  Exit codes: 0 ok, 1 runtime
-error, 2 invalid input.
+``SUBCOMMANDS`` is the one record of what each subcommand reads and does:
+its entry names the options it registers (keys of ``OPTIONS``), its help
+text and its call.  ``build_parser`` registers exactly those options and
+``main`` runs the call, so each table subcommand accepts only the options
+its operation reads, plus ``--out`` and ``--format``.  The desk-scale
+sample count and the SVG plot kind are stated in the entry's call.
+
+CSV is the artifact of record (floats at 17 significant digits, canonical
+row order, so equal seeds give byte-identical output); SVG output is
+presentation-only.  Exit codes: 0 ok, 1 runtime error, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -68,11 +73,8 @@ def _format_value(x) -> str:
 
 def render_csv(table: Table) -> str:
     header, rows = table
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_format_value(x) for x in row) + "\n")
-    return out.getvalue()
+    lines = [",".join(header)] + [",".join(_format_value(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_json(table: Table) -> str:
@@ -84,10 +86,10 @@ def render_json(table: Table) -> str:
     return json.dumps(body, indent=2) + "\n"
 
 
-def render_svg(table: Table, scatter: bool, width: int = 640, height: int = 480) -> str:
+def render_svg(table: Table, scatter: bool) -> str:
     """Minimal scatter/polyline plot: column 0 on x, the rest as series."""
     header, rows = table
-    margin = 40.0
+    width, height, margin = 640, 480, 40.0
     xs = np.array([float(r[0]) for r in rows])
     series = [np.array([float(r[i]) for r in rows]) for i in range(1, len(header))]
     lo_x, hi_x = (float(xs.min()), float(xs.max())) if len(xs) else (0.0, 1.0)
@@ -135,37 +137,20 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _run_table(args: argparse.Namespace) -> None:
-    # The operations are looked up in this module when called, so a tracer
-    # that rebinds its attributes sees the calls.
-    name = args.subcommand
-    if name == "fig1":
-        table = fig1_scatter(args.da, args.db, _sample_count(args), _resolve_seed(args))
-    elif name == "fig2":
-        table = fig2_fixed_angle(
-            args.da, args.db, _sample_count(args), _resolve_seed(args), _parse_angles(args.angles)
-        )
-    elif name == "curve":
-        table = counterexample_curve(args.da, args.db, args.lambda_step)
-    elif name == "scan":
-        table = counterexample_scan(args.lambda_step)
-    else:
-        table = bounds_compare(args.da, args.lambda_step)
+def _render(args: argparse.Namespace, table: Table, scatter: bool = False) -> str:
     if args.format == "csv":
-        _emit(render_csv(table), args.out)
-    elif args.format == "json":
-        _emit(render_json(table), args.out)
-    else:
-        _emit(render_svg(table, scatter=name in ("fig1", "fig2")), args.out)
+        return render_csv(table)
+    if args.format == "json":
+        return render_json(table)
+    return render_svg(table, scatter)
 
 
-def _run_classify(args: argparse.Namespace) -> None:
+def _run_classify(args: argparse.Namespace) -> str:
     rho, sigma, _, _ = load_state_pair(args.input)
-    report = classify_pair(rho, sigma)
-    _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
+    return json.dumps(classify_pair(rho, sigma).to_json(), indent=2) + "\n"
 
 
-def _run_sample(args: argparse.Namespace) -> None:
+def _run_sample(args: argparse.Namespace) -> str:
     rng = RngHandle(_resolve_seed(args))
     if args.kind == "qc":
         left, right = sample_qc_pair(rng, args.da, args.db)
@@ -177,7 +162,7 @@ def _run_sample(args: argparse.Namespace) -> None:
             "rho": dense_state_to_json(sample_density(rng, dim), args.da, args.db),
             "sigma": dense_state_to_json(sample_density(rng, dim), args.da, args.db),
         }
-    _emit(json.dumps(pair, indent=2) + "\n", args.out)
+    return json.dumps(pair, indent=2) + "\n"
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -196,20 +181,74 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _parse_angles(text: str | None) -> tuple[float, ...]:
-    if not text:
+    if text is None:
         return ()
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        angles = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise OutOfRangeError(f"bad --angles value {text!r}") from exc
+    if not angles:
+        raise OutOfRangeError(f"--angles must list at least one angle, got {text!r}")
+    return angles
 
 
-def _sample_count(args: argparse.Namespace) -> int:
-    if args.n is not None:
-        return args.n
-    if args.subcommand == "fig2":
-        return 10_000 if args.full else 1_000
-    return 100_000 if args.full else 10_000
+def _sampled(args: argparse.Namespace, desk: int) -> tuple[int, int, int, int]:
+    """The values of the ``_SAMPLED`` options as fig1 and fig2 take them.
+
+    That is d_A, d_B, the sample count and the seed.  The count is ``desk``,
+    or ten times that under ``--full``; ``--n`` overrides both.
+    """
+    count = (10 * desk if args.full else desk) if args.n is None else args.n
+    return args.da, args.db, count, _resolve_seed(args)
+
+
+# -- the subcommand table --------------------------------------------------------
+
+
+OPTIONS = {
+    "input": dict(help="path to {'rho': ..., 'sigma': ...} JSON"),
+    "--kind": dict(choices=["qc", "dense"], default="qc"),
+    "--da": dict(type=int, default=2, help="dimension of the A system"),
+    "--db": dict(type=int, default=2, help="dimension of the B system"),
+    "--n": dict(type=int, help="sample count (per angle for fig2)"),
+    "--full": dict(action="store_true", help="use the full-scale sample counts"),
+    "--seed": dict(type=int, help="RNG seed (fallback: ENTROBOUND_SEED, then a fixed default)"),
+    "--lambda-step": dict(type=float, default=0.005, help="grid step in (0, 1], 1/step <= 10^6"),
+    "--angles": dict(help="comma-separated angles in (0, pi/2)"),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(choices=["csv", "json", "svg"], default="csv"),
+}
+
+
+# options: the keys of OPTIONS that the subcommand registers, in order; help:
+# its line in the usage text; run: its call, which takes the parsed namespace
+# and returns the text that main writes to --out.
+Subcommand = namedtuple("Subcommand", ["options", "help", "run"])
+
+_SAMPLED = ("--da", "--db", "--n", "--full", "--seed")
+_TABLE = ("--out", "--format")
+
+# Each call looks its operation up in this module's globals when it runs, so
+# a tracer that rebinds the module's attributes sees every call.  fig1 and
+# fig2 state their desk-scale sample count and plot as a scatter.
+SUBCOMMANDS = {
+    "fig1": Subcommand(_SAMPLED + _TABLE, "entropy difference vs angular distance, QC pairs",
+                       lambda a: _render(a, fig1_scatter(*_sampled(a, 10_000)), scatter=True)),
+    "fig2": Subcommand(
+        _SAMPLED + ("--angles",) + _TABLE, "the same for classical pairs at fixed small angles",
+        lambda a: _render(a, fig2_fixed_angle(*_sampled(a, 1_000), _parse_angles(a.angles)),
+                          scatter=True)),
+    "curve": Subcommand(("--da", "--db", "--lambda-step") + _TABLE, "the counterexample family",
+                        lambda a: _render(a, counterexample_curve(a.da, a.db, a.lambda_step))),
+    "scan": Subcommand(("--lambda-step",) + _TABLE, "violation scan of the family over d_A, d_B",
+                       lambda a: _render(a, counterexample_scan(a.lambda_step))),
+    "compare": Subcommand(
+        ("--da", "--lambda-step") + _TABLE, "trace-distance bounds vs the converted angular bound",
+        lambda a: _render(a, bounds_compare(a.da, a.lambda_step))),
+    "classify": Subcommand(("input", "--out"), "classify a JSON state-pair file", _run_classify),
+    "sample": Subcommand(("--kind", "--da", "--db", "--seed", "--out"),
+                         "write a random state pair as JSON", _run_sample),
+}
 
 
 @functools.cache
@@ -223,50 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entropy continuity-bound experiments and saturation diagnostics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    options = {
-        "--da": dict(type=int, default=2, help="dimension of the A system"),
-        "--db": dict(type=int, default=2, help="dimension of the B system"),
-        "--n": dict(type=int, default=None, help="sample count (per angle for fig2)"),
-        "--full": dict(action="store_true", help="use the full-scale sample counts"),
-        "--seed": dict(type=int, default=None,
-                       help="RNG seed (fallback: ENTROBOUND_SEED, then a fixed default)"),
-        "--lambda-step": dict(type=float, default=0.005, dest="lambda_step"),
-        "--angles": dict(type=str, default=None, help="comma-separated angles in (0, pi/2)"),
-        "--out": dict(type=str, default=None, help="output path (default stdout)"),
-        "--format": dict(choices=["csv", "json", "svg"], default="csv"),
-    }
-
-    def add(p: argparse.ArgumentParser, *flags: str) -> None:
-        for flag in flags:
-            p.add_argument(flag, **options[flag])
-
-    # Each table subcommand takes the options its operation reads.
-    sampled = ("--da", "--db", "--n", "--full", "--seed")
-    for name, flags in (
-        ("fig1", sampled),
-        ("fig2", sampled + ("--angles",)),
-        ("curve", ("--da", "--db", "--lambda-step")),
-        ("scan", ("--lambda-step",)),
-        ("compare", ("--da", "--lambda-step")),
-    ):
-        add(sub.add_parser(name), *flags, "--out", "--format")
-
-    classify = sub.add_parser("classify", help="classify a JSON state-pair file")
-    classify.add_argument("input", type=str, help="path to {'rho': ..., 'sigma': ...} JSON")
-    add(classify, "--out")
-
-    sample = sub.add_parser("sample", help="write a random state pair as JSON")
-    sample.add_argument("--kind", choices=["qc", "dense"], default="qc")
-    add(sample, "--da", "--db", "--seed", "--out")
+    for name, entry in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=entry.help)
+        for option in entry.options:
+            subparser.add_argument(option, **OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = {"classify": _run_classify, "sample": _run_sample}.get(args.subcommand, _run_table)
-        run(args)
+        _emit(SUBCOMMANDS[args.subcommand].run(args), args.out)
         return 0
     except (StateFormatError, OutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

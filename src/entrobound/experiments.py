@@ -38,6 +38,8 @@ from .states import check_dimension, qc_embed, trusted_density
 
 # Grid threshold above which a bound excess counts as a violation.
 VIOLATION_TOL = 1e-9
+# Most steps a lambda grid may have: 10^6 steps are 8 MB of grid.
+MAX_LAMBDA_STEPS = 10**6
 
 Table = tuple[list[str], list[tuple]]
 
@@ -86,9 +88,17 @@ def family_closed_form(d_a: int, d_b: int, lam: float) -> tuple[float, float]:
 
 
 def _lambda_grid(step: float) -> np.ndarray:
+    """The grid 0, step, ..., 1 of round(1 / step) steps, at most MAX_LAMBDA_STEPS.
+
+    The step count is checked before anything is built; 1 / step is inf for
+    the smallest subnormal steps, which the comparison also rejects.
+    """
     if not 0.0 < step <= 1.0:
         raise OutOfRangeError(f"lambda step must lie in (0, 1], got {step}")
-    return np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
+    steps = 1.0 / step
+    if steps > MAX_LAMBDA_STEPS + 0.5:  # round(steps) > MAX_LAMBDA_STEPS
+        raise OutOfRangeError(f"lambda step {step} gives more than {MAX_LAMBDA_STEPS} grid steps")
+    return np.linspace(0.0, 1.0, round(steps) + 1)
 
 
 # -- table-producing operations ------------------------------------------------

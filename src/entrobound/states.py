@@ -305,11 +305,16 @@ def state_from_json(obj) -> tuple[DensityOperator, int, int]:
 
 
 def load_state_pair(path: str) -> tuple[DensityOperator, DensityOperator, int, int]:
-    """Read a ``{"rho": ..., "sigma": ...}`` pair file."""
+    """Read a ``{"rho": ..., "sigma": ...}`` pair file.
+
+    A file that is not UTF-8, not JSON, or nested too deep for the decoder
+    raises ``StateFormatError``; a file that cannot be opened or read raises
+    ``OSError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StateFormatError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict) or "rho" not in obj or "sigma" not in obj:
         raise StateFormatError(f"{path}: expected an object with 'rho' and 'sigma'")

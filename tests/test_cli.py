@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,43 @@ from entrobound.experiments import (
 from entrobound.states import dense_state_to_json, make_density
 
 SEED = cli.DEFAULT_SEED
+
+# The option strings each subcommand registered before the subcommand table;
+# the five table subcommands hold 27 of them.
+PARENT_OPTIONS = {
+    "fig1": {"--da", "--db", "--n", "--full", "--seed", "--out", "--format"},
+    "fig2": {"--da", "--db", "--n", "--full", "--seed", "--angles", "--out", "--format"},
+    "curve": {"--da", "--db", "--lambda-step", "--out", "--format"},
+    "scan": {"--lambda-step", "--out", "--format"},
+    "compare": {"--da", "--lambda-step", "--out", "--format"},
+    "classify": {"input", "--out"},
+    "sample": {"--kind", "--da", "--db", "--seed", "--out"},
+}
+TABLE_OPERATIONS = {
+    "fig1": "fig1_scatter",
+    "fig2": "fig2_fixed_angle",
+    "curve": "counterexample_curve",
+    "scan": "counterexample_scan",
+    "compare": "bounds_compare",
+}
+
+
+def registered_actions(subcommand):
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a for a in subparsers.choices[subcommand]._actions if a.dest != "help"]
+
+
+class ReadRecorder:
+    """A parsed namespace that records the names of the attributes read from it."""
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._namespace, name)
 
 
 def write_pair(tmp_path, rho, sigma, name="pair.json"):
@@ -271,6 +310,21 @@ class TestMain:
     def test_classify_missing_file_exits_1(self):
         assert cli.main(["classify", "/nonexistent/pair.json"]) == 1
 
+    def test_classify_directory_exits_1(self, tmp_path):
+        assert cli.main(["classify", str(tmp_path)]) == 1
+
+    def test_classify_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"rho": "\xff"}')
+        assert cli.main(["classify", str(path)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_classify_file_nested_too_deep_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert cli.main(["classify", str(path)]) == 2
+        assert "recursion" in capsys.readouterr().err
+
     def test_sample_then_classify(self, tmp_path, capsys):
         path = tmp_path / "sampled.json"
         assert cli.main(["sample", "--kind", "qc", "--da", "2", "--db", "2",
@@ -289,6 +343,57 @@ class TestMain:
 
     def test_bad_angles_exit_2(self):
         assert cli.main(["fig2", "--n", "2", "--angles", "2.0"]) == 2
+
+    @pytest.mark.parametrize("angles", [",", "", " , "])
+    def test_angles_listing_no_angle_exit_2_before_drawing(self, monkeypatch, angles):
+        calls = []
+        monkeypatch.setattr(cli, "fig2_fixed_angle", lambda *args: calls.append(args))
+        assert cli.main(["fig2", "--n", "2", "--angles", angles]) == 2
+        assert calls == []
+
+    def test_absent_angles_give_the_ten_defaults(self, capsys):
+        assert cli.main(["fig2", "--n", "1", "--seed", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 10
+
+    @pytest.mark.parametrize("step", ["1e-300", "5e-324", "9e-7"])
+    def test_curve_rejects_grids_of_more_than_a_million_steps(self, monkeypatch, capsys, step):
+        def built(*args):
+            raise AssertionError("the grid was built")
+
+        # Fails fast, without filling rows, if the grid check is missing.
+        monkeypatch.setattr(experiments, "family_closed_form", built)
+        assert cli.main(["curve", "--lambda-step", step]) == 2
+        assert "grid steps" in capsys.readouterr().err
+
+    def test_registered_options_are_the_parents(self):
+        registered = {
+            name: {s for a in registered_actions(name) for s in a.option_strings or [a.dest]}
+            for name in cli.SUBCOMMANDS
+        }
+        assert registered == PARENT_OPTIONS
+        assert sum(len(PARENT_OPTIONS[name]) for name in TABLE_OPERATIONS) == 27
+
+    @pytest.mark.parametrize("subcommand, operation", list(TABLE_OPERATIONS.items()))
+    def test_table_calls_read_exactly_their_options(
+        self, monkeypatch, subcommand, operation
+    ):
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            return ["x", "y"], [(0.0, 1.0)]
+
+        options = {a.dest for a in registered_actions(subcommand)}
+        recorder = ReadRecorder(cli.build_parser().parse_args([subcommand]))
+        monkeypatch.setattr(cli, operation, stub)
+        monkeypatch.setattr(cli, "_emit", lambda text, path: None)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: SimpleNamespace(parse_args=lambda argv: recorder))
+        monkeypatch.delenv("ENTROBOUND_SEED", raising=False)
+        assert cli.main([subcommand]) == 0
+        assert len(calls) == 1
+        # main reads the subcommand's name, which no option sets.
+        assert recorder.read - {"subcommand"} == options
 
     def test_bad_sample_count_exit_2(self):
         assert cli.main(["fig1", "--n", "0"]) == 2
@@ -361,6 +466,10 @@ class TestConfigValidation:
             counterexample_curve(0, 2, 0.5)
         with pytest.raises(OutOfRangeError):
             counterexample_curve(2, 0, 0.5)  # d_B = 0 would reach log(0)
+
+    def test_lambda_grid_allows_a_million_steps(self):
+        grid = experiments._lambda_grid(1e-6)
+        assert grid.size == 10**6 + 1 and grid[0] == 0.0 and grid[-1] == 1.0
 
     def test_fig2_checks_every_angle_before_drawing(self, monkeypatch):
         calls = []
