@@ -28,6 +28,14 @@ from .states import (
     partial_trace_A, theta0,
 )
 
+__all__ = [
+    "LIPSCHITZ", "LipschitzConstants", "ConversionDirection", "PathState",
+    "von_neumann_entropy", "conditional_entropy", "binary_entropy", "audenaert_bound",
+    "winter_bound", "lipschitz_u", "sekatski_bound", "naive_conditional_bound",
+    "qc_continuity_bound", "convert_bounds", "hc_of_vector",
+    "classical_conditional_entropy", "great_circle_path", "hc_derivative",
+]
+
 _X0_BISECTION_TOL = 1e-14
 
 

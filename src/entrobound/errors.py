@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "EntroboundError", "NonHermitianError", "NoConvergenceError",
+    "NegativeEigenvalueError", "NotInvertibleError", "InvalidDeltaError",
+    "TraceNotOneError", "DimensionMismatchError", "NotOrthonormalError",
+    "OutOfRangeError", "RejectionBudgetExhaustedError", "StateFormatError",
+]
+
 
 class EntroboundError(Exception):
     """Base class for all errors raised by this package."""

@@ -88,16 +88,20 @@ def family_closed_form(d_a: int, d_b: int, lam: float) -> tuple[float, float]:
 
 
 def _lambda_grid(step: float) -> np.ndarray:
-    """The grid 0, step, ..., 1 of round(1 / step) steps, at most MAX_LAMBDA_STEPS.
+    """The grid 0, step, ..., 1 of 1 / step steps, at most MAX_LAMBDA_STEPS.
 
     The step count is checked before anything is built; 1 / step is inf for
-    the smallest subnormal steps, which the comparison also rejects.
+    the smallest subnormal steps, which the comparison also rejects.  The
+    step must divide 1 (1 / step within ``1e-9 * (1 / step)`` of an integer):
+    a step such as 0.3 would otherwise be rounded to another grid silently.
     """
     if not 0.0 < step <= 1.0:
         raise OutOfRangeError(f"lambda step must lie in (0, 1], got {step}")
     steps = 1.0 / step
     if steps > MAX_LAMBDA_STEPS + 0.5:  # round(steps) > MAX_LAMBDA_STEPS
         raise OutOfRangeError(f"lambda step {step} gives more than {MAX_LAMBDA_STEPS} grid steps")
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise OutOfRangeError(f"lambda step {step} does not divide 1")
     return np.linspace(0.0, 1.0, round(steps) + 1)
 
 
@@ -192,7 +196,9 @@ def counterexample_scan(lambda_step: float) -> Table:
 
     Cells with a violation are re-examined on a step-0.001 grid around the
     violating interval; lambda_lo/lambda_hi bound that interval (-1 when the
-    cell is clean).
+    cell is clean).  Only a violation the coarse grid hits is refined: of the
+    steps that divide 1, only step 1 (grid {0, 1}) misses the (2, 2)
+    violation on [0.358, 0.595] and reports that cell clean.
     """
     rows = []
     base_grid = _lambda_grid(lambda_step)

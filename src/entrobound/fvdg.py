@@ -32,6 +32,13 @@ from .metrics import (
 )
 from .states import ClassicalDist, DensityOperator
 
+__all__ = [
+    "PairClass", "SaturationClass", "SaturationReport", "PerturbationTrace",
+    "trace_optimal_measurements", "is_trace_optimal", "fidelity_optimal_measurement",
+    "is_fidelity_optimal", "classical_saturation_class", "classify_pair",
+    "pure_fidelity_optimal", "perturbation_trace",
+]
+
 # Kernel membership: ||P e|| <= KERNEL_TOL * ||P||^{1/2} (scales with the operator).
 KERNEL_TOL = 1e-8
 # Eigenvector membership residual for fidelity-optimal bases.

@@ -24,10 +24,15 @@ from .errors import (
     OutOfRangeError,
 )
 
+__all__ = [
+    "SpectralDecomposition", "eig_hermitian", "mat_sqrt", "positive_negative_parts",
+    "geometric_mean", "m_operator", "m_operator_perturbed",
+]
+
 # Hermiticity residual allowed before rejection, relative to the largest entry.
 HERMITICITY_TOL = 1e-10
-# Eigenvalues in [-PSD_CLAMP_TOL, 0) are treated as rounding noise and clamped
-# to zero; anything below is a genuine negative eigenvalue.
+# Eigenvalues in [-PSD_CLAMP_TOL * max(1, max|w|), 0) are treated as rounding
+# noise and clamped to zero; anything below is a genuine negative eigenvalue.
 PSD_CLAMP_TOL = 1e-10
 # Invertibility requires min eigenvalue > INVERTIBILITY_TOL * max eigenvalue.
 INVERTIBILITY_TOL = 1e-12
@@ -74,10 +79,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
     def reconstruct(self) -> np.ndarray:
         """``V diag(w) V†``."""
         return self.apply(lambda w: w)
@@ -114,16 +115,21 @@ def eig_hermitian(m) -> SpectralDecomposition:
 
 
 def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Clamp eigenvalues in ``[-PSD_CLAMP_TOL, 0)`` to zero.
+    """Clamp eigenvalues in ``[-PSD_CLAMP_TOL * max(1, max|w|), 0)`` to zero.
 
-    Anything below the clamp window indicates invalid (non-PSD) input rather
-    than rounding, and raises.  The package's one PSD clamp: a density's
-    stored spectrum (``states.trusted_density``) and ``_psd_sqrt`` call it,
-    and nothing downstream of either clamps again.
+    The window scales with the spectrum like the Hermiticity check in
+    ``as_hermitian``, so rounding of a matrix with large entries is not
+    mistaken for a negative eigenvalue; for density spectra (``|w| <= 1``) it
+    is ``PSD_CLAMP_TOL`` itself.  Anything below the window indicates invalid
+    (non-PSD) input rather than rounding, and raises.  The package's one PSD
+    clamp: a density's stored spectrum (``states.trusted_density``) and
+    ``_psd_sqrt`` call it, and nothing downstream of either clamps again.
     """
     lo = float(np.min(w))
-    if lo < -PSD_CLAMP_TOL:
-        raise NegativeEigenvalueError(f"eigenvalue {lo:.3e} below -{PSD_CLAMP_TOL:.0e}")
+    if lo < -PSD_CLAMP_TOL:  # the window is never narrower, so valid spectra skip the scale
+        window = PSD_CLAMP_TOL * max(1.0, float(np.max(np.abs(w))))
+        if lo < -window:
+            raise NegativeEigenvalueError(f"eigenvalue {lo:.3e} below -{window:.3g}")
     return _frozen(np.maximum(w, 0.0))
 
 

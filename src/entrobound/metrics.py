@@ -14,6 +14,12 @@ import numpy as np
 from .errors import DimensionMismatchError, NotOrthonormalError
 from .states import ClassicalDist, DensityOperator, trusted_classical
 
+__all__ = [
+    "DistanceTriple", "Rank1Measurement", "make_measurement", "trace_distance",
+    "fidelity", "angular_distance", "distance_triple", "classical_trace_distance",
+    "classical_fidelity", "measure", "fvdg_residuals",
+]
+
 ORTHONORMALITY_TOL = 1e-10
 
 

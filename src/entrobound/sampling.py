@@ -15,6 +15,11 @@ from .states import (
     trusted_density,
 )
 
+__all__ = [
+    "RngHandle", "sample_simplex", "sample_haar_unitary", "sample_density",
+    "sample_qc_pair", "sample_classical_pair_at_angle",
+]
+
 _TWO64 = 2**64
 # Resample threshold for a direction that is numerically parallel to r.
 _DEGENERATE_TOL = 1e-12

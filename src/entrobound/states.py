@@ -24,6 +24,12 @@ from .errors import (
     TraceNotOneError,
 )
 
+__all__ = [
+    "DensityOperator", "QCState", "ClassicalDist", "SqrtVector", "make_density",
+    "make_qc_state", "make_classical", "qc_embed", "partial_trace_A", "sqrt_vector",
+    "theta0", "is_qc_block_diagonal",
+]
+
 TRACE_TOL = 1e-9
 WEIGHT_TOL = 1e-12
 

@@ -19,7 +19,7 @@ from entrobound.experiments import (
     fig1_scatter,
     fig2_fixed_angle,
 )
-from entrobound.states import dense_state_to_json, make_density
+from entrobound.states import dense_state_to_json, make_density, make_qc_state, qc_state_to_json
 
 SEED = cli.DEFAULT_SEED
 
@@ -74,6 +74,32 @@ def write_pair(tmp_path, rho, sigma, name="pair.json"):
     return str(path)
 
 
+def qc_pair_blob():
+    state = make_qc_state([(0.5, make_density(np.eye(2) / 2)),
+                           (0.5, make_density(np.diag([1.0, 0.0])))])
+    return {"rho": qc_state_to_json(state), "sigma": qc_state_to_json(state)}
+
+
+def non_numeric_entry(blob):
+    blob["rho"]["blocks"][0]["matrix"][0][0] = ["x", 0.0]
+
+
+def header_disagrees_with_blocks(blob):
+    blob["rho"]["dim_b"] = 3
+
+
+def block_without_weight(blob):
+    del blob["rho"]["blocks"][0]["weight"]
+
+
+def no_sigma(blob):
+    del blob["sigma"]
+
+
+def different_splits(blob):
+    blob["sigma"] = dense_state_to_json(make_density(np.eye(4) / 4), 4, 1)
+
+
 class TestFamily:
     def test_lambda_zero_is_the_entangled_state(self):
         angle, diff = family_closed_form(2, 2, 0.0)
@@ -100,6 +126,12 @@ class TestFamily:
         assert diff == pytest.approx(1.074, abs=1e-3)
         assert lipschitz_u(2) * angle == pytest.approx(1.061, abs=1e-3)
         assert diff > lipschitz_u(2) * angle
+
+    def test_lambda_outside_the_unit_interval(self):
+        with pytest.raises(OutOfRangeError):
+            family_pair(2, 2, 1.5)
+        with pytest.raises(OutOfRangeError):
+            family_closed_form(2, 2, 1.5)
 
 
 class TestTables:
@@ -241,6 +273,13 @@ class TestMain:
         text = out.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_fig1_svg_draws_one_circle_per_row(self, tmp_path):
+        out = tmp_path / "fig1.svg"
+        argv = ["fig1", "--n", "7", "--seed", "3", "--format", "svg", "--out", str(out)]
+        assert cli.main(argv) == 0
+        text = out.read_text()
+        assert text.count("<circle") == 7 and text.count("<polyline") == 1
+
     def test_classify_upper_saturated(self, tmp_path, capsys):
         b = 0.25
         path = write_pair(
@@ -307,6 +346,24 @@ class TestMain:
         path.write_text(json.dumps(blob))
         assert cli.main(["classify", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (non_numeric_entry, "malformed complex matrix"),
+            (header_disagrees_with_blocks, "header says"),
+            (block_without_weight, "weight"),
+            (no_sigma, "'rho' and 'sigma'"),
+            (different_splits, "but sigma is"),
+        ],
+    )
+    def test_classify_malformed_pair_files_exit_2(self, tmp_path, capsys, mutate, message):
+        blob = qc_pair_blob()
+        mutate(blob)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(blob))
+        assert cli.main(["classify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_classify_missing_file_exits_1(self):
         assert cli.main(["classify", "/nonexistent/pair.json"]) == 1
 
@@ -344,6 +401,9 @@ class TestMain:
     def test_bad_angles_exit_2(self):
         assert cli.main(["fig2", "--n", "2", "--angles", "2.0"]) == 2
 
+    def test_angles_that_are_not_numbers_exit_2(self):
+        assert cli.main(["fig2", "--n", "2", "--angles", "1e-6,abc"]) == 2
+
     @pytest.mark.parametrize("angles", [",", "", " , "])
     def test_angles_listing_no_angle_exit_2_before_drawing(self, monkeypatch, angles):
         calls = []
@@ -364,6 +424,16 @@ class TestMain:
         monkeypatch.setattr(experiments, "family_closed_form", built)
         assert cli.main(["curve", "--lambda-step", step]) == 2
         assert "grid steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["curve", "scan", "compare"])
+    @pytest.mark.parametrize("step", ["0.3", "0.4", "0.6", "0.7", "0.15"])
+    def test_lambda_steps_must_divide_one(self, monkeypatch, capsys, subcommand, step):
+        def built(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(experiments, "family_closed_form", built)
+        assert cli.main([subcommand, "--lambda-step", step]) == 2
+        assert "does not divide 1" in capsys.readouterr().err
 
     def test_registered_options_are_the_parents(self):
         registered = {
@@ -470,6 +540,20 @@ class TestConfigValidation:
     def test_lambda_grid_allows_a_million_steps(self):
         grid = experiments._lambda_grid(1e-6)
         assert grid.size == 10**6 + 1 and grid[0] == 0.0 and grid[-1] == 1.0
+
+    @pytest.mark.parametrize("step", [0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 1e-6])
+    def test_lambda_grid_walks_steps_that_divide_one(self, step):
+        grid = experiments._lambda_grid(step)
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+        assert np.diff(grid) == pytest.approx(step, rel=1e-9)
+
+    def test_scan_misses_the_qubit_violation_only_at_step_one(self):
+        # The (2, 2) violation lies on [0.358, 0.595]; grid {0, 1} has no point there.
+        cells = {step: {row[:2]: row for row in counterexample_scan(step)[1]}
+                 for step in (1.0, 0.5)}
+        assert cells[1.0][(2, 2)][3] == 0.0 and cells[1.0][(2, 2)][4] == -1.0
+        assert cells[0.5][(2, 2)][3] > 0.01
+        assert cells[0.5][(2, 2)][4:] == pytest.approx((0.358, 0.595))
 
     def test_fig2_checks_every_angle_before_drawing(self, monkeypatch):
         calls = []

@@ -24,7 +24,7 @@ from entrobound.entropy import (
     von_neumann_entropy,
     winter_bound,
 )
-from entrobound.errors import OutOfRangeError
+from entrobound.errors import DimensionMismatchError, OutOfRangeError
 from entrobound.metrics import angular_distance, trace_distance
 from entrobound.sampling import RngHandle, sample_density, sample_qc_pair
 from entrobound.states import make_density, make_qc_state, qc_embed, sqrt_vector
@@ -187,6 +187,10 @@ class TestLipschitzConstants:
         slopes = np.diff(f) / np.diff(xs)
         assert np.all(np.diff(slopes) <= 1e-9)  # concave: slopes nonincreasing
 
+    def test_majorant_domain(self):
+        with pytest.raises(OutOfRangeError):
+            LIPSCHITZ.majorant(0.5)
+
 
 class TestAngularBounds:
     def test_sekatski(self):
@@ -275,6 +279,10 @@ class TestHcOfVector:
     def test_classical_helper_validates_raw_arrays(self, p):
         with pytest.raises(OutOfRangeError):
             classical_conditional_entropy(np.array(p), 2, 2)
+
+    def test_classical_helper_checks_the_split(self):
+        with pytest.raises(DimensionMismatchError):
+            classical_conditional_entropy(np.full(6, 1 / 6), 2, 2)
 
 
 class TestHcDerivative:

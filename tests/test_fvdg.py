@@ -11,6 +11,7 @@ from entrobound.errors import (
     DimensionMismatchError,
     InvalidDeltaError,
     NotInvertibleError,
+    OutOfRangeError,
 )
 from entrobound.fvdg import (
     PairClass,
@@ -264,6 +265,13 @@ class TestClassicalSaturationClass:
         q = make_classical([0.4, 0.6])
         assert classical_saturation_class(p, q) is SaturationClass.NEITHER
 
+    def test_ratios_in_one_cluster_at_one(self):
+        # |p - q| = 5e-9 is beyond CLASSICAL_TOL, so C1 fails, but the
+        # ratios 1 -+ 1e-8 cluster at 1 within SPECTRAL_CLUSTER_TOL.
+        p = make_classical([0.5, 0.5])
+        q = make_classical([0.5 - 5e-9, 0.5 + 5e-9])
+        assert classical_saturation_class(p, q) is SaturationClass.C2
+
     @given(
         b=st.floats(0.05, 0.95),
         weights=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
@@ -374,6 +382,16 @@ class TestClassifyPair:
         assert not report.invertible
         assert report.pair_class is PairClass.LOWER_SATURATED
 
+    def test_noninvertible_pair_saturating_neither(self):
+        # T = 1/2 and F = 1/sqrt(2): both gaps are 1/sqrt(2) - 1/2.
+        report = classify_pair(ZERO, diag_density(0.5, 0.5))
+        assert not report.invertible
+        assert report.pair_class is PairClass.NEITHER_SATURATED
+        gap = np.sqrt(0.5) - 0.5
+        assert report.lower_gap == pytest.approx(gap, abs=1e-12)
+        assert report.upper_gap == pytest.approx(gap, abs=1e-12)
+        assert round(gap, 4) == 0.2071
+
     def test_soundness_on_random_and_constructed_pairs(self):
         rng = RngHandle(68)
         for _ in range(100):
@@ -449,6 +467,26 @@ class TestPureFidelityOptimal:
         phase = (basis[:, 0].conj() @ rho_vec)
         basis[:, 0] *= phase / abs(phase)
         assert pure_fidelity_optimal(make_measurement(basis), rho_vec, sigma_vec)
+
+    def test_orthogonal_states_have_no_live_terms(self):
+        basis = make_measurement(np.eye(2))
+        assert pure_fidelity_optimal(basis, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    def test_cancelling_terms(self):
+        # <+|0><0|-> = 1/2 and <+|1><1|-> = -1/2 sum to zero.
+        basis = make_measurement(np.eye(2))
+        plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+        assert not pure_fidelity_optimal(basis, plus, minus)
+
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            pure_fidelity_optimal(make_measurement(np.eye(3)), np.array([1.0, 0.0]),
+                                  np.array([0.0, 1.0]))
+
+    def test_rejects_non_unit_vectors(self):
+        with pytest.raises(OutOfRangeError):
+            pure_fidelity_optimal(make_measurement(np.eye(2)), np.array([1.0, 1.0]),
+                                  np.array([0.0, 1.0]))
 
 
 class TestPerturbationTrace:

@@ -6,6 +6,7 @@ from conftest import rand_hermitian, rand_positive_definite
 
 from entrobound import linalg
 from entrobound.errors import (
+    DimensionMismatchError,
     InvalidDeltaError,
     NegativeEigenvalueError,
     NonHermitianError,
@@ -23,6 +24,16 @@ from entrobound.sampling import RngHandle
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def scaled_psd_pairs(scale, n=20, d=4):
+    """Pairs ``a = s Z Z†`` (full rank) and ``b = s Z' Z'†`` with one eigenvalue set to 0."""
+    gen = np.random.default_rng(1)
+    for _ in range(n):
+        z, z2 = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d)) for _ in range(2))
+        w, v = np.linalg.eigh(z2 @ z2.conj().T)
+        w[0] = 0.0
+        yield scale * z @ z.conj().T, scale * (v * w) @ v.conj().T
 
 
 class TestEigHermitian:
@@ -90,6 +101,16 @@ class TestMatSqrt:
     def test_rejects_negative(self):
         with pytest.raises(NegativeEigenvalueError):
             mat_sqrt(np.diag([1.0, -1e-6]))
+
+    def test_clamp_window_scales_with_the_entries(self):
+        # Rounding of a rank-deficient matrix with entries near 1e6 reaches
+        # about 1e-8 below zero; the window is 1e-10 times the largest
+        # eigenvalue, like the Hermiticity check.
+        for _, b in scaled_psd_pairs(1e6):
+            root = mat_sqrt(b)
+            assert np.max(np.abs(root @ root - b)) <= 1e-9 * np.max(np.abs(b))
+        with pytest.raises(NegativeEigenvalueError):
+            mat_sqrt(np.diag([1.0, -1e-3]))
 
 
 class TestPositiveNegativeParts:
@@ -187,6 +208,15 @@ class TestMOperator:
         direct = m_operator(rho, sigma)
         via_inverse = geometric_mean(np.linalg.inv(rho), sigma)
         assert_allclose(direct, via_inverse, atol=1e-10)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionMismatchError):
+            m_operator(np.eye(2) / 2, np.eye(3) / 3)
+
+    def test_accepts_psd_input_with_large_entries(self):
+        for a, b in scaled_psd_pairs(1e6):
+            m = m_operator(a, b)
+            assert np.max(np.abs(m @ a @ m - b)) <= 1e-8 * np.max(np.abs(b))
 
 
 class TestMOperatorPerturbed:

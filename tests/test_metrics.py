@@ -12,6 +12,7 @@ from entrobound import states
 from entrobound.errors import DimensionMismatchError, NotOrthonormalError
 from entrobound.metrics import (
     angular_distance,
+    check_classical_pair,
     classical_fidelity,
     classical_trace_distance,
     distance_triple,
@@ -107,6 +108,10 @@ class TestClassicalMeasures:
         got = classical_fidelity(make_classical([0.7, 0.3]), make_classical([0.4, 0.6]))
         assert got == pytest.approx(0.9534, abs=1e-4)
 
+    def test_alphabets_must_agree(self):
+        with pytest.raises(DimensionMismatchError):
+            check_classical_pair(make_classical([0.5, 0.5]), make_classical([0.2, 0.3, 0.5]))
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_classical_fvdg_inequalities(self, raw):
@@ -158,6 +163,10 @@ class TestMeasure:
     def test_rejects_skew_basis(self):
         with pytest.raises(NotOrthonormalError):
             make_measurement(np.array([[1.0, 0.9], [0.0, 0.1]]))
+
+    def test_rejects_non_square_basis(self):
+        with pytest.raises(DimensionMismatchError):
+            make_measurement(np.eye(3)[:, :2])
 
     def test_data_processing(self):
         # measurement can only shrink trace distance and grow fidelity

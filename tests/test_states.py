@@ -114,6 +114,10 @@ class TestQcEmbed:
         with pytest.raises(DimensionMismatchError):
             qc((0.5, np.eye(2) / 2), (0.5, np.eye(3) / 3))
 
+    def test_rejects_no_blocks(self):
+        with pytest.raises(DimensionMismatchError):
+            make_qc_state([])
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(TraceNotOneError):
             qc((0.6, np.eye(2) / 2), (0.6, np.eye(2) / 2))
@@ -348,6 +352,8 @@ def test_classical_dist_validation():
         make_classical([0.5, 0.6])
     with pytest.raises(OutOfRangeError):
         make_classical([np.nan, 1.0])
+    with pytest.raises(DimensionMismatchError):
+        make_classical(np.full((2, 2), 0.25))
 
 
 def test_qc_block_structure_check():
