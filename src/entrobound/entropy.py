@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, OutOfRangeError
+from .linalg import frozen
 from .states import (
     ClassicalDist, DensityOperator, SqrtVector, check_dimension, make_classical,
     partial_trace_A, theta0,
@@ -226,15 +227,14 @@ class PathState:
 
     ``v(theta) = cos(theta) r + sin(theta) s_perp`` runs from ``v(0) = r`` to
     ``v(theta0) = s`` on the unit sphere; ``w = v'`` is its unit tangent.
-    Indices where both endpoints vanish stay exactly zero along the path and
-    are excluded from derivative sums.
+    Indices where both endpoints vanish are exactly +0 in ``s_perp`` and so in
+    ``v(theta)``; ``v^2 > 0`` therefore excludes them from derivative sums.
     """
 
     r: SqrtVector
     s: SqrtVector
     theta0: float
     s_perp: np.ndarray
-    active: np.ndarray
 
     @property
     def dim_a(self) -> int:
@@ -266,31 +266,26 @@ def great_circle_path(r: SqrtVector, s: SqrtVector) -> PathState:
         raise OutOfRangeError("endpoints coincide (r . s = 1); no path to differentiate")
     dot = float(r.entries @ s.entries)
     diff = s.entries - dot * r.entries
-    norm = float(np.linalg.norm(diff))
-    s_perp = diff / norm
-    active = (r.entries > 0.0) | (s.entries > 0.0)
-    s_perp.setflags(write=False)
-    active.setflags(write=False)
-    return PathState(r=r, s=s, theta0=angle, s_perp=s_perp, active=active)
+    return PathState(r=r, s=s, theta0=angle, s_perp=frozen(diff / np.linalg.norm(diff)))
 
 
 def hc_derivative(path: PathState, theta: float) -> float:
     """Exact derivative of ``H_c`` along the path at an interior angle.
 
-    ``H_c'(theta) = -2 sum v w ln(v^2 / V_k)`` over active indices, where
-    ``V_k`` is the active-block sum of ``v^2``.  Its magnitude never exceeds
-    ``u(d_A)``.
+    ``H_c'(theta) = -2 sum v w ln(v^2 / V_k)`` over indices with ``v^2 > 0``,
+    where ``V_k`` is the sum of ``v^2`` over block k; the derivative's
+    magnitude never exceeds ``u(d_A)``.  An index where both endpoints vanish
+    is exactly +0 in ``v`` along the whole path, so it adds nothing to
+    ``V_k`` and the ``v^2 > 0`` mask drops it from the sum.
     """
     if not 0.0 < theta < path.theta0:
         raise OutOfRangeError(f"theta {theta} outside (0, {path.theta0})")
     vv = path.v(theta)
     ww = path.w(theta)
-    sq = np.where(path.active, vv * vv, 0.0)
+    sq = vv * vv
     block_sums = sq.reshape(path.dim_b, path.dim_a).sum(axis=1)
     per_entry = np.repeat(block_sums, path.dim_a)
     mask = sq > 0.0
-    ratio = np.ones_like(sq)
-    ratio[mask] = sq[mask] / per_entry[mask]
-    return float(-2.0 * np.sum(vv[mask] * ww[mask] * np.log(ratio[mask])))
+    return float(-2.0 * np.sum(vv[mask] * ww[mask] * np.log(sq[mask] / per_entry[mask])))
 
 

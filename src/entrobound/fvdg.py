@@ -121,13 +121,6 @@ def trace_optimal_measurements(rho: DensityOperator, sigma: DensityOperator) -> 
     return Rank1Measurement(dec.eigenvectors)
 
 
-def _check_measurement(
-    measurement: Rank1Measurement, rho: DensityOperator, sigma: DensityOperator
-) -> None:
-    check_pair(rho, sigma)
-    check_basis(measurement, rho)
-
-
 def is_trace_optimal(
     measurement: Rank1Measurement, rho: DensityOperator, sigma: DensityOperator
 ) -> bool:
@@ -138,7 +131,8 @@ def is_trace_optimal(
     Membership is ``||P e|| <= KERNEL_TOL * ||P||^{1/2}``, with both norms
     read off one eigendecomposition of ``rho - sigma``.
     """
-    _check_measurement(measurement, rho, sigma)
+    check_pair(rho, sigma)
+    check_basis(measurement, rho)
     dec = linalg.decompose(rho.matrix - sigma.matrix)
     coeffs = np.abs(dec.eigenvectors.conj().T @ measurement.basis)
     in_kernel = [
@@ -169,7 +163,8 @@ def is_fidelity_optimal(
     measurement: Rank1Measurement, rho: DensityOperator, sigma: DensityOperator
 ) -> bool:
     """True iff every basis vector is an eigenvector of ``M`` within tolerance."""
-    _check_measurement(measurement, rho, sigma)
+    check_pair(rho, sigma)
+    check_basis(measurement, rho)
     m = _m_of_invertible_pair(rho, sigma)
     b = measurement.basis
     mb = m @ b
@@ -253,10 +248,10 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
     diff_norm = float(np.max(np.abs(diff)))
     invertible = rho.is_invertible() and sigma.is_invertible()
 
-    m, spectrum, residual, c_value = None, np.array([]), 0.0, None
+    m, spectrum, residual, c_value = None, linalg.frozen(np.array([])), 0.0, None
     if invertible:
         m = linalg.m_from_spectrum(rho.spectrum, sigma.matrix)
-        spectrum = np.linalg.eigvalsh(m)
+        spectrum = linalg.frozen(np.linalg.eigvalsh(m))
         commutator = m @ diff - diff @ m
         scale = float(np.max(np.abs(m))) * diff_norm
         residual = float(np.max(np.abs(commutator))) / scale if scale > 0.0 else 0.0
@@ -346,7 +341,8 @@ def perturbation_trace(
     not a sufficient one, so no verdict is attached.  A delta too small for an
     invertible ``rho_d`` raises InvalidDeltaError.
     """
-    _check_measurement(measurement, rho, sigma)
+    check_pair(rho, sigma)
+    check_basis(measurement, rho)
     deltas = tuple(float(d) for d in deltas)
     if not deltas or any(not 0.0 < d < 1.0 for d in deltas):
         raise InvalidDeltaError(f"deltas must lie in (0, 1), got {deltas}")
@@ -371,11 +367,9 @@ def perturbation_trace(
         residuals[i, in_support] = np.linalg.norm(
             dec.apply(np.sqrt) @ (m_delta @ e - np.abs(mu_d) * e), axis=0
         )
-    mu.setflags(write=False)
-    residuals.setflags(write=False)
     return PerturbationTrace(
         deltas=deltas,
         m_delta_norms=tuple(norms),
-        mu_values=mu,
-        residuals=residuals,
+        mu_values=linalg.frozen(mu),
+        residuals=linalg.frozen(residuals),
     )

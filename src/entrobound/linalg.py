@@ -4,7 +4,10 @@ Eigendecompositions, matrix square roots, positive/negative parts, the
 operator geometric mean ``A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2}``,
 and the perturbed mean used for near-singular inputs.
 
-All functions are pure; returned arrays are marked read-only.
+All functions are pure.  Every array in the result of an exported function of
+the package, dataclass fields and tuple items included, is read-only;
+:func:`frozen` is the one place that marks it so, and like ``symmetrized`` it
+stays unexported.
 """
 
 from __future__ import annotations
@@ -38,7 +41,12 @@ PSD_CLAMP_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def frozen(a: np.ndarray) -> np.ndarray:
+    """The package's one read-only marker: ``a`` itself, no longer writable.
+
+    Freezes in place, so ``a`` must be an array the caller built, never one
+    passed in from outside (``make_measurement`` copies its input first).
+    """
     a.setflags(write=False)
     return a
 
@@ -69,7 +77,7 @@ def as_hermitian(m) -> np.ndarray:
 
 def symmetrized(m: np.ndarray) -> np.ndarray:
     """The package's one symmetrizer: read-only ``(m + m†)/2`` of a trusted array."""
-    return _frozen((m + m.conj().T) / 2.0)
+    return frozen((m + m.conj().T) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +111,7 @@ def decompose(h: np.ndarray) -> SpectralDecomposition:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
         raise NoConvergenceError(str(exc)) from exc
-    return SpectralDecomposition(_frozen(w), _frozen(v))
+    return SpectralDecomposition(frozen(w), frozen(v))
 
 
 def eig_hermitian(m) -> SpectralDecomposition:
@@ -130,7 +138,7 @@ def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
         window = PSD_CLAMP_TOL * max(1.0, float(np.max(np.abs(w))))
         if lo < -window:
             raise NegativeEigenvalueError(f"eigenvalue {lo:.3e} below -{window:.3g}")
-    return _frozen(np.maximum(w, 0.0))
+    return frozen(np.maximum(w, 0.0))
 
 
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:
@@ -147,7 +155,7 @@ def positive_negative_parts(m) -> tuple[np.ndarray, np.ndarray]:
     dec = eig_hermitian(m)
     pos = dec.apply(lambda w: np.where(w > 0.0, w, 0.0))
     neg = dec.apply(lambda w: np.where(w < 0.0, -w, 0.0))
-    return _frozen(pos), _frozen(neg)
+    return frozen(pos), frozen(neg)
 
 
 def m_from_spectrum(rho: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:

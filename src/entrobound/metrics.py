@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotOrthonormalError
+from .linalg import frozen
 from .states import ClassicalDist, DensityOperator, trusted_classical
 
 __all__ = [
@@ -60,9 +61,7 @@ def make_measurement(vectors) -> Rank1Measurement:
     residual = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
     if residual > ORTHONORMALITY_TOL:
         raise NotOrthonormalError(f"Gram residual {residual:.3e}")
-    b = b.copy()
-    b.setflags(write=False)
-    return Rank1Measurement(b)
+    return Rank1Measurement(frozen(b.copy()))
 
 
 def check_pair(rho: DensityOperator, sigma: DensityOperator) -> None:

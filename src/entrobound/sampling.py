@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRangeError, RejectionBudgetExhaustedError
+from .linalg import frozen
 from .states import (
     ClassicalDist,
     DensityOperator,
@@ -71,9 +72,7 @@ def sample_haar_unitary(rng: RngHandle, d: int) -> np.ndarray:
     z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diag(r)
-    u = q * (diag / np.abs(diag))
-    u.setflags(write=False)
-    return u
+    return frozen(q * (diag / np.abs(diag)))
 
 
 def sample_density(rng: RngHandle, d: int) -> DensityOperator:
@@ -123,23 +122,19 @@ def sample_classical_pair_at_angle(
     if max_rejects < 1:
         raise OutOfRangeError(f"need max_rejects >= 1, got {max_rejects}")
     gen = rng.generator
-    rejects = 0
-    while True:
+    for _ in range(max_rejects):
         r = gen.standard_normal(d)
         r = np.abs(r / np.linalg.norm(r))
-        tangent = None
-        while tangent is None:
+        while True:
             direction = gen.standard_normal(d)
             direction /= np.linalg.norm(direction)
             t = direction - (direction @ r) * r
             norm = np.linalg.norm(t)
             if norm > _DEGENERATE_TOL:
-                tangent = t / norm
-        s = np.cos(angle) * r + np.sin(angle) * tangent
+                break
+        s = np.cos(angle) * r + np.sin(angle) * (t / norm)
         if np.all(s >= 0.0):
             return trusted_classical(r * r), trusted_classical(s * s)
-        rejects += 1
-        if rejects >= max_rejects:
-            raise RejectionBudgetExhaustedError(
-                f"{rejects} consecutive rejections at angle {angle}, d={d}"
-            )
+    raise RejectionBudgetExhaustedError(
+        f"{max_rejects} consecutive rejections at angle {angle}, d={d}"
+    )

@@ -157,9 +157,7 @@ def trusted_classical(p: np.ndarray) -> ClassicalDist:
 
     Unchecked; entries within rounding below zero are clamped to zero.
     """
-    out = np.maximum(p, 0.0)
-    out.setflags(write=False)
-    return ClassicalDist(out)
+    return ClassicalDist(linalg.frozen(np.maximum(p, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +202,7 @@ def sqrt_vector(state: QCState) -> SqrtVector:
     entries = np.empty(d_a * d_b)
     for k, (w, rho) in enumerate(state.blocks):
         entries[k * d_a : (k + 1) * d_a] = np.sqrt(w * rho.eigenvalues[::-1])
-    entries.setflags(write=False)
-    return SqrtVector(entries, d_a, d_b)
+    return SqrtVector(linalg.frozen(entries), d_a, d_b)
 
 
 def is_qc_block_diagonal(rho: DensityOperator, d_a: int, d_b: int, tol: float = 1e-12) -> bool:

@@ -9,6 +9,7 @@ currently red; the assertion messages carry the measured values.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -46,6 +47,13 @@ from entrobound.states import make_density, qc_embed, sqrt_vector
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
+
+
+def _mp_u(d: int):
+    """``u(d)`` at the working mpmath precision, from its own root ``x0``."""
+    x0 = mpmath.findroot(lambda x: mpmath.log(x) - 2 * (1 - 1 / x), 4.9)
+    f = 2 * mpmath.log(x0) / x0 * (d - 1) if d <= x0 else mpmath.log(d) ** 2
+    return 2 * mpmath.sqrt(f)
 
 
 def test_criterion_1_counterexample_numbers():
@@ -160,6 +168,23 @@ def test_criterion_4_fixed_angle_suite():
     )
 
 
+def test_criterion_4_small_angle_supremum_is_below_its_threshold():
+    # sup |dH| / (u(2) A) as A -> 0 is 2 sqrt(max_t g(t)) / u(2), with g the
+    # variance of -ln of the distribution (t, 1 - t).
+    def g(t):
+        h = -t * mpmath.log(t) - (1 - t) * mpmath.log(1 - t)
+        return t * mpmath.log(t) ** 2 + (1 - t) * mpmath.log(1 - t) ** 2 - h**2
+
+    with mpmath.workdps(50):
+        t_star = mpmath.findroot(lambda t: mpmath.diff(g, t), 0.083)
+        peak = g(t_star)
+        assert all(g(mpmath.mpf(i) / 1000) <= peak for i in range(1, 1000))
+        sup = 2 * mpmath.sqrt(peak) / _mp_u(2)
+    assert abs(t_star - mpmath.mpf("0.0832217201995")) < 1e-12
+    assert 0.8235 <= sup < 0.8236
+    assert sup < 0.9
+
+
 def test_criterion_5_violation_scan():
     start = time.perf_counter()
     header, rows = counterexample_scan(0.005)
@@ -199,6 +224,35 @@ def test_criterion_5_violation_scan():
     assert contiguous and contains_half
     assert worst_doubled <= 1e-9
     assert elapsed < 300.0
+
+
+def test_scan_qubit_row_matches_50_digit_values():
+    header, rows = counterexample_scan(0.005)
+    row = dict(zip(header, next(r for r in rows if r[:2] == (2, 2))))
+
+    with mpmath.workdps(50):
+        u2 = _mp_u(2)
+
+        # At d_A = d_B = 2 the family's closed form reduces to
+        # |dH| = -(1 - 3l/4) ln(1 - 3l/4) - (3l/4) ln(l/4), A = acos sqrt(1 - 3l/4).
+        def excess(lam):
+            top, rest = 1 - 3 * lam / 4, 3 * lam / 4
+            diff = -top * mpmath.log(top) - rest * mpmath.log(lam / 4)
+            return diff - u2 * mpmath.acos(mpmath.sqrt(top))
+
+        lam_star = mpmath.findroot(lambda lam: mpmath.diff(excess, lam), 0.479)
+        peak = excess(lam_star)
+        lo, hi = mpmath.findroot(excess, 0.358), mpmath.findroot(excess, 0.596)
+    assert abs(lam_star - mpmath.mpf("0.478968")) < 1e-6
+    assert abs(lo - mpmath.mpf("0.357829")) < 1e-6
+    assert abs(hi - mpmath.mpf("0.595892")) < 1e-6
+    # The refinement grid has step 0.001.
+    assert abs(row["lambda_star"] - lam_star) <= 1e-3
+    assert abs(row["lambda_lo"] - lo) <= 1e-3
+    assert abs(row["lambda_hi"] - hi) <= 1e-3
+    # Missing the peak by at most half a step costs at most
+    # max|excess''| (about 1.89 on [0.47, 0.49]) * 0.0005^2 / 2 < 2.5e-7.
+    assert peak - 2.5e-7 <= row["max_violation"] <= peak + 1e-15
 
 
 def test_criterion_6_saturating_family():
@@ -313,6 +367,20 @@ def test_criterion_9_small_t_dominance():
         f"d_A = 7 upward; with the sqrt(2) conversion factor included it "
         f"would hold for every d_A >= 2"
     )
+
+
+def test_criterion_9_holds_with_the_sqrt2_conversion_factor():
+    with mpmath.workdps(50):
+        margins = {d: mpmath.sqrt(2) * _mp_u(d) - (mpmath.log(d - 1) + 2) for d in range(2, 65)}
+    assert min(margins, key=margins.get) == 2
+    assert abs(margins[2] - mpmath.mpf("0.276155")) < 1e-6
+    assert all(math.log(d - 1) + 2.0 <= math.sqrt(2.0) * lipschitz_u(d) for d in range(2, 65))
+
+
+def test_lipschitz_u_matches_50_digit_values():
+    with mpmath.workdps(50):
+        exact = {d: _mp_u(d) for d in range(1, 65)}
+    assert all(abs(lipschitz_u(d) - u) <= 1e-15 * u for d, u in exact.items())
 
 
 def test_criterion_10_pure_state_characterization():

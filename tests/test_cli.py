@@ -545,7 +545,8 @@ class TestConfigValidation:
     def test_lambda_grid_walks_steps_that_divide_one(self, step):
         grid = experiments._lambda_grid(step)
         assert grid[0] == 0.0 and grid[-1] == 1.0
-        assert np.diff(grid) == pytest.approx(step, rel=1e-9)
+        # pytest.approx(step, rel=1e-9)'s tolerance: rel * step, at least its default abs 1e-12.
+        assert np.all(np.abs(np.diff(grid) - step) <= max(1e-9 * step, 1e-12))
 
     def test_scan_misses_the_qubit_violation_only_at_step_one(self):
         # The (2, 2) violation lies on [0.358, 0.595]; grid {0, 1} has no point there.

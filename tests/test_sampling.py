@@ -176,8 +176,25 @@ class TestSampleClassicalPairAtAngle:
         assert failures / trials < 0.01
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(RejectionBudgetExhaustedError):
+        message = "^5 consecutive rejections at angle 1.47, d=16$"
+        with pytest.raises(RejectionBudgetExhaustedError, match=message):
             sample_classical_pair_at_angle(RngHandle(17), 16, 1.47, max_rejects=5)
+
+    def test_parallel_direction_is_redrawn_without_counting_as_a_rejection(self):
+        class Scripted:
+            # r, then a direction parallel to r, then an orthogonal one.
+            draws = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([1.0, -1.0])]
+
+            def standard_normal(self, d):
+                return self.draws.pop(0)
+
+        rng = RngHandle(0)
+        rng.generator = Scripted()
+        p, q = sample_classical_pair_at_angle(rng, 2, 0.1, max_rejects=1)
+        s = (np.cos(0.1) * np.array([1.0, 1.0]) + np.sin(0.1) * np.array([1.0, -1.0])) / np.sqrt(2)
+        assert not rng.generator.draws
+        assert_allclose(p.probs, [0.5, 0.5], atol=1e-15)
+        assert_allclose(q.probs, s * s, atol=1e-15)
 
     @pytest.mark.parametrize("kwargs", [
         {"d": 1, "angle": 0.1},
