@@ -51,22 +51,31 @@ def _xlogx(x: float) -> float:
     return 0.0 if x <= 0.0 else x * math.log(x)
 
 
-def family_pair(d_a: int, d_b: int, lam: float):
-    """Matrix route: maximally entangled rho and its mix with I/(d_A d_B).
+def _entangled_projector(d_a: int, d_b: int) -> np.ndarray:
+    """The real matrix of the maximally entangled rho on d_A * d_B.
 
     Joint indices are k outer, so the entangled vector sits at positions
     j * d_A + j for j below min(d_A, d_B).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam}")
     d_m = min(d_a, d_b)
-    dim = d_a * d_b
-    vec = np.zeros(dim)
+    vec = np.zeros(d_a * d_b)
     for j in range(d_m):
         vec[j * d_a + j] = 1.0 / math.sqrt(d_m)
-    rho = np.outer(vec, vec)
-    sigma = lam * np.eye(dim) / dim + (1.0 - lam) * rho
-    return trusted_density(rho), trusted_density(sigma)
+    return np.outer(vec, vec)
+
+
+def _mixed_toward_identity(rho: np.ndarray, lam: float) -> np.ndarray:
+    """``lam I/d + (1 - lam) rho`` for the real matrix of rho."""
+    dim = rho.shape[0]
+    return lam * np.eye(dim) / dim + (1.0 - lam) * rho
+
+
+def family_pair(d_a: int, d_b: int, lam: float):
+    """Matrix route: maximally entangled rho and its mix with I/(d_A d_B)."""
+    if not 0.0 <= lam <= 1.0:
+        raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam}")
+    rho = _entangled_projector(d_a, d_b)
+    return trusted_density(rho), trusted_density(_mixed_toward_identity(rho, lam))
 
 
 def family_closed_form(d_a: int, d_b: int, lam: float) -> tuple[float, float]:
@@ -166,19 +175,25 @@ def fig2_fixed_angle(
 
 
 def counterexample_curve(d_a: int, d_b: int, lambda_step: float) -> Table:
-    """Interpolation family along lambda, closed form next to matrix route."""
+    """Interpolation family along lambda, closed form next to matrix route.
+
+    rho does not depend on lambda: its matrix, its spectrum and ``H(A|B)_rho``
+    are built once per call, and each grid point builds and decomposes only
+    sigma, with the same arithmetic as ``family_pair``.
+    """
     check_dimension(d_b)
     u = lipschitz_u(d_a)
+    grid = _lambda_grid(lambda_step)
+    rho_matrix = _entangled_projector(d_a, d_b)
+    rho = trusted_density(rho_matrix)
+    entropy_rho = conditional_entropy(rho, d_a, d_b)
     rows = []
-    for lam in _lambda_grid(lambda_step):
+    for lam in grid:
         lam = float(lam)
         angle_cf, diff_cf = family_closed_form(d_a, d_b, lam)
-        rho, sigma = family_pair(d_a, d_b, lam)
+        sigma = trusted_density(_mixed_toward_identity(rho_matrix, lam))
         angle_mx = angular_distance(rho, sigma)
-        diff_mx = abs(
-            conditional_entropy(rho, d_a, d_b)
-            - conditional_entropy(sigma, d_a, d_b)
-        )
+        diff_mx = abs(entropy_rho - conditional_entropy(sigma, d_a, d_b))
         bound = u * angle_cf
         rows.append(
             (lam, angle_cf, angle_mx, diff_cf, diff_mx, bound,

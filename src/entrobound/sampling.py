@@ -52,12 +52,7 @@ def sample_simplex(rng: RngHandle, n: int) -> ClassicalDist:
     Normalized unit-rate exponentials, the standard exact construction
     (equivalently a flat Dirichlet).
     """
-    n = check_dimension(n)
-    while True:
-        g = rng.generator.standard_exponential(n)
-        total = g.sum()
-        if total > 0.0:
-            return trusted_classical(g / total)
+    return _simplex(rng, check_dimension(n))
 
 
 def sample_haar_unitary(rng: RngHandle, d: int) -> np.ndarray:
@@ -67,24 +62,12 @@ def sample_haar_unitary(rng: RngHandle, d: int) -> np.ndarray:
     factor has a real positive diagonal — without that correction the
     distribution is not invariant.
     """
-    d = check_dimension(d)
-    gen = rng.generator
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return frozen(q * (diag / np.abs(diag)))
+    return _haar_unitary(rng, check_dimension(d))
 
 
 def sample_density(rng: RngHandle, d: int) -> DensityOperator:
     """Random density operator: simplex eigenvalues in a Haar-random eigenbasis."""
-    evals = sample_simplex(rng, d).probs
-    u = sample_haar_unitary(rng, d)
-    return trusted_density((u * evals) @ u.conj().T)
-
-
-def _sample_qc_state(rng: RngHandle, d_a: int, d_b: int) -> QCState:
-    weights = sample_simplex(rng, d_b).probs
-    return QCState(tuple((float(w), sample_density(rng, d_a)) for w in weights))
+    return _density(rng, check_dimension(d))
 
 
 def sample_qc_pair(rng: RngHandle, d_a: int, d_b: int) -> tuple[QCState, QCState]:
@@ -96,6 +79,36 @@ def sample_qc_pair(rng: RngHandle, d_a: int, d_b: int) -> tuple[QCState, QCState
     """
     d_a, d_b = check_dimension(d_a), check_dimension(d_b)
     return _sample_qc_state(rng, d_a, d_b), _sample_qc_state(rng, d_a, d_b)
+
+
+# -- the samplers' bodies, for dimensions already checked ---------------------
+
+
+def _simplex(rng: RngHandle, n: int) -> ClassicalDist:
+    while True:
+        g = rng.generator.standard_exponential(n)
+        total = g.sum()
+        if total > 0.0:
+            return trusted_classical(g / total)
+
+
+def _haar_unitary(rng: RngHandle, d: int) -> np.ndarray:
+    gen = rng.generator
+    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r)
+    return frozen(q * (diag / np.abs(diag)))
+
+
+def _density(rng: RngHandle, d: int) -> DensityOperator:
+    evals = _simplex(rng, d).probs
+    u = _haar_unitary(rng, d)
+    return trusted_density((u * evals) @ u.conj().T)
+
+
+def _sample_qc_state(rng: RngHandle, d_a: int, d_b: int) -> QCState:
+    weights = _simplex(rng, d_b).probs
+    return QCState(tuple((float(w), _density(rng, d_a)) for w in weights))
 
 
 def check_sampler_angle(angle: float) -> None:

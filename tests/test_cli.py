@@ -4,11 +4,13 @@ import math
 import sys
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
 from entrobound import cli, experiments, linalg, states
 from entrobound.cli import render_csv
+from entrobound.entropy import conditional_entropy, lipschitz_u
 from entrobound.errors import OutOfRangeError
 from entrobound.experiments import (
     bounds_compare,
@@ -19,6 +21,7 @@ from entrobound.experiments import (
     fig1_scatter,
     fig2_fixed_angle,
 )
+from entrobound.metrics import angular_distance
 from entrobound.states import dense_state_to_json, make_density, make_qc_state, qc_state_to_json
 
 SEED = cli.DEFAULT_SEED
@@ -132,6 +135,98 @@ class TestFamily:
             family_pair(2, 2, 1.5)
         with pytest.raises(OutOfRangeError):
             family_closed_form(2, 2, 1.5)
+
+
+def curve_rows_by_family_pair(d_a, d_b, step):
+    """The curve's rows with the pair rebuilt at every lambda by ``family_pair``."""
+    u = lipschitz_u(d_a)
+    rows = []
+    for lam in np.linspace(0.0, 1.0, round(1.0 / step) + 1):
+        lam = float(lam)
+        angle_cf, diff_cf = family_closed_form(d_a, d_b, lam)
+        rho, sigma = family_pair(d_a, d_b, lam)
+        diff_mx = abs(conditional_entropy(rho, d_a, d_b) - conditional_entropy(sigma, d_a, d_b))
+        bound = u * angle_cf
+        rows.append((lam, angle_cf, angular_distance(rho, sigma), diff_cf, diff_mx, bound,
+                     int(diff_cf > bound + experiments.VIOLATION_TOL)))
+    return rows
+
+
+def family_oracle(d_a, d_b, lam):
+    """Angle and |dH| of the family at the working mpmath precision.
+
+    Built from the spectra, not from ``family_closed_form``: rho is the pure
+    |psi><psi|, so F = sqrt(<psi|sigma|psi>) and H(A|B)_rho = -ln min(d_A, d_B);
+    sigma has <psi|sigma|psi> once and lam/d on the rest, and sigma_B is
+    lam/d_B + (1 - lam)/d_m on the d_m levels of rho_B and lam/d_B elsewhere.
+    """
+    lam = mpmath.mpf(lam)
+    d, d_m = d_a * d_b, min(d_a, d_b)
+    overlap = 1 - lam + lam / d
+    joint = [overlap] + [lam / d] * (d - 1)
+    marginal = [lam / d_b + (1 - lam) / d_m] * d_m + [lam / d_b] * (d_b - d_m)
+
+    def entropy(probs):
+        return -mpmath.fsum(p * mpmath.log(p) for p in probs if p > 0)
+
+    diff = entropy(joint) - entropy(marginal) + mpmath.log(d_m)
+    return mpmath.acos(mpmath.sqrt(overlap)), abs(diff)
+
+
+ORACLE_SHAPES = [(d, d) for d in range(2, 11)] + [(3, 2), (2, 4), (1, 3)]
+
+
+class TestCurveBuildsRhoOnce:
+    @pytest.mark.parametrize("d_a, d_b", [(1, 3), (2, 2), (3, 2), (2, 4), (10, 10)])
+    def test_rows_equal_the_per_lambda_family_pair_route(self, d_a, d_b):
+        _, rows = counterexample_curve(d_a, d_b, 0.05)
+        assert rows == curve_rows_by_family_pair(d_a, d_b, 0.05)
+
+    @pytest.mark.parametrize("d_a, d_b, step", [(2, 2, 0.25), (2, 3, 0.1), (3, 1, 1.0)])
+    def test_rho_is_decomposed_once_per_curve(self, monkeypatch, d_a, d_b, step):
+        counts = {"trusted_density": 0, "conditional_entropy": 0}
+        for name in counts:
+            original = getattr(experiments, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(experiments, name, counting)
+        _, rows = counterexample_curve(d_a, d_b, step)
+        points = round(1.0 / step) + 1
+        assert len(rows) == points
+        assert counts == {"trusted_density": points + 1, "conditional_entropy": points + 1}
+
+
+class TestFamilyAgainst50Digits:
+    """``family_closed_form`` and the matrix route against ``family_oracle``
+    at 50 digits, on the step-0.01 grid."""
+
+    @pytest.mark.parametrize("d_a, d_b", ORACLE_SHAPES)
+    def test_closed_form(self, d_a, d_b):
+        with mpmath.workdps(50):
+            for lam in np.linspace(0.0, 1.0, 101):
+                angle, diff = family_closed_form(d_a, d_b, float(lam))
+                angle_mp, diff_mp = family_oracle(d_a, d_b, float(lam))
+                assert abs(angle - angle_mp) <= 1e-14
+                assert abs(diff - diff_mp) <= 1e-13
+
+    @pytest.mark.parametrize("d_a, d_b", ORACLE_SHAPES)
+    def test_matrix_route_precision_floor(self, d_a, d_b):
+        # Floors measured over these shapes: the angle is worst at (3, 3),
+        # 7.53e-15, and |dH| at (10, 10), 5.22e-14.  At lambda = 0, sigma is
+        # rho bit for bit, and arccos reads a fidelity up to 4 spacings below 1.
+        _, rows = counterexample_curve(d_a, d_b, 0.01)
+        at_zero = (0.0, float(np.arccos(1.0 - 2.0**-52)), float(np.arccos(1.0 - 2.0**-51)))
+        with mpmath.workdps(50):
+            for lam, _, angle_mx, _, diff_mx, _, _ in rows:
+                if lam == 0.0:
+                    assert angle_mx in at_zero and diff_mx == 0.0
+                    continue
+                angle_mp, diff_mp = family_oracle(d_a, d_b, lam)
+                assert abs(angle_mx - angle_mp) <= 7.6e-15
+                assert abs(diff_mx - diff_mp) <= 5.3e-14
 
 
 class TestTables:

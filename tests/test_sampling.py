@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entrobound import sampling, states
 from entrobound.errors import OutOfRangeError, RejectionBudgetExhaustedError
 from entrobound.metrics import classical_fidelity
 from entrobound.sampling import (
@@ -139,6 +140,30 @@ class TestSampleQcPair:
     def test_domain(self):
         with pytest.raises(OutOfRangeError):
             sample_qc_pair(RngHandle(13), 0, 2)
+
+    def test_checks_each_dimension_once(self, monkeypatch):
+        calls = []
+        original = states.check_dimension
+
+        def counting(d, least=1):
+            calls.append(d)
+            return original(d, least)
+
+        for module in (states, sampling):
+            monkeypatch.setattr(module, "check_dimension", counting)
+        sample_qc_pair(RngHandle(14), 2, 16)
+        assert calls == [2, 16]
+        sample_density(RngHandle(14), 3)
+        assert calls == [2, 16, 3]
+
+    def test_draws_in_the_order_of_the_public_samplers(self):
+        left, right = sample_qc_pair(RngHandle(15), 2, 3)
+        rng = RngHandle(15)
+        for state in (left, right):
+            weights = sample_simplex(rng, 3).probs
+            for (w, block), expected in zip(state.blocks, weights):
+                assert w == float(expected)
+                assert np.array_equal(block.matrix, sample_density(rng, 2).matrix)
 
     @pytest.mark.parametrize("dims", [(2, 0), (2.0, 2), (2, 2.0)])
     def test_rejects_dims_that_are_not_integers_from_one(self, dims):

@@ -1,0 +1,83 @@
+"""Print the byte-identity digests of the CLI's outputs at seed 20221.
+
+Each line is a command and the first 16 hex digits of the sha256 of its
+stdout.  Only ``fig1`` and ``fig2`` read a seed, so only they get
+``--seed 20221``.  The last line is ``classify`` over the 18 valid pair files
+of the benchmark (``VALID_KINDS`` of ``perfbench/workloads.py``), written in
+order by ``make_pair_file(np.random.default_rng(20221), kind)``, with their
+outputs concatenated.  Equal digests on two checkouts mean byte-identical
+output.  Run from anywhere; the package is imported from this checkout's
+``src``:
+
+    python tools/digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from entrobound.cli import main as cli_main  # noqa: E402
+
+SEED = "20221"
+COMMANDS = [
+    ["fig1", "--n", "500", "--db", "2", "--seed", SEED],
+    ["fig1", "--n", "500", "--db", "16", "--seed", SEED],
+    ["fig1", "--n", "50", "--format", "svg", "--seed", SEED],
+    ["fig2", "--n", "100", "--da", "8", "--db", "2", "--seed", SEED],
+    ["curve", "--da", "2", "--db", "2"],
+    ["curve", "--da", "10", "--db", "10"],
+    ["curve", "--lambda-step", "0.1", "--format", "json"],
+    ["scan"],
+    ["scan", "--format", "svg"],
+    ["compare"],
+]
+
+
+def stdout_of(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def classify_text() -> str:
+    # run_path compiles the file without writing a bytecode cache next to it.
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    rng = np.random.default_rng(int(SEED))
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (kind, _) in enumerate(workloads["VALID_KINDS"]):
+            path = os.path.join(tmp, f"pair{i:02d}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(workloads["make_pair_file"](rng, kind))
+            outputs.append(stdout_of(["classify", path]))
+    return "".join(outputs)
+
+
+def main() -> int:
+    for argv in COMMANDS:
+        print(f"{' '.join(argv):<48} {digest(stdout_of(argv))}")
+    print(f"{'classify (18 valid pair files)':<48} {digest(classify_text())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
