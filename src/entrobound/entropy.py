@@ -95,11 +95,26 @@ def lipschitz_u(d: int) -> float:
     return LIPSCHITZ.u(d)
 
 
-def _entropy_of_probabilities(w: np.ndarray) -> float:
+def _entropy_of_probabilities(w: np.ndarray) -> float | np.ndarray:
+    """``-sum w ln w`` along the last axis, with 0 ln 0 = 0.
+
+    A 1-D ``w`` gives a float, a stack ``(..., n)`` an array of row entropies.
+    Zero entries are left out of the sum, not added as 0: numpy's pairwise sum
+    groups terms by position, so a zero term would move the rounding.  A row
+    with any zero entry is therefore summed on its own, over its positive
+    entries only, and ln 0 is never evaluated.
+    """
     # Every caller passes entries >= 0: stored spectra and probabilities are
     # clamped where they are built.
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    if w.ndim == 1:
+        nz = w[w > 0.0]
+        return float(-np.sum(nz * np.log(nz)))
+    full = (w > 0.0).all(axis=-1)
+    out = np.empty(w.shape[:-1])
+    rows = w[full]
+    out[full] = -np.sum(rows * np.log(rows), axis=-1)
+    out[~full] = [_entropy_of_probabilities(row) for row in w[~full]]
+    return out
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -197,11 +212,14 @@ def convert_bounds(value: float, direction: ConversionDirection, d_a: int) -> fl
 # -- the function H_c on square-root vectors and its derivative ---------------
 
 
-def _hc_raw(squared: np.ndarray, d_a: int, d_b: int) -> float:
-    """``H_c`` evaluated on squared entries (a joint distribution, k outer)."""
+def _hc_raw(squared: np.ndarray, d_a: int, d_b: int) -> float | np.ndarray:
+    """``H_c`` evaluated on squared entries (a joint distribution, k outer).
+
+    Stacked input ``(..., d_A d_B)`` gives one value per row.
+    """
     joint = _entropy_of_probabilities(squared)
-    marginal = _entropy_of_probabilities(squared.reshape(d_b, d_a).sum(axis=1))
-    return joint - marginal
+    blocks = squared.reshape(*squared.shape[:-1], d_b, d_a).sum(axis=-1)
+    return joint - _entropy_of_probabilities(blocks)
 
 
 def hc_of_vector(v: SqrtVector) -> float:

@@ -24,15 +24,15 @@ import numpy as np
 
 from .entropy import (
     ConversionDirection,
+    _hc_raw,
     audenaert_bound,
-    classical_conditional_entropy,
     conditional_entropy,
     convert_bounds,
     lipschitz_u,
     winter_bound,
 )
 from .errors import OutOfRangeError
-from .metrics import angular_distance, classical_fidelity
+from .metrics import _classical_fidelity_rows, angular_distance
 from .sampling import RngHandle, check_sampler_angle, sample_classical_pair_at_angle, sample_qc_pair
 from .states import check_dimension, qc_embed, trusted_density
 
@@ -149,7 +149,11 @@ def fig2_fixed_angle(
 
     ``angles`` defaults to 1e-6, 2e-6, ..., 1e-5.  Each angle gets its own
     derived stream, so output is independent of how angles are scheduled.
-    Every angle is checked before the first draw.
+    Every angle is checked before the first draw.  Per angle the pairs are
+    drawn one at a time by ``sample_classical_pair_at_angle`` into two stacked
+    ``(n, d_A d_B)`` arrays, and the fidelities and both conditional entropies
+    are then evaluated on all rows at once, with the arithmetic of
+    ``classical_fidelity`` and ``classical_conditional_entropy``.
     """
     if n_samples < 1:
         raise OutOfRangeError(f"n_samples must be >= 1, got {n_samples}")
@@ -159,16 +163,17 @@ def fig2_fixed_angle(
     base = RngHandle(seed)
     u = lipschitz_u(d_a)
     dim = d_a * d_b
+    p_rows, q_rows = np.empty((2, n_samples, dim))
     rows = []
     for i, angle in enumerate(angles):
         rng = base.stream(i)
-        for _ in range(n_samples):
+        for j in range(n_samples):
             p, q = sample_classical_pair_at_angle(rng, dim, angle)
-            measured = math.acos(classical_fidelity(p, q))
-            diff = abs(
-                classical_conditional_entropy(p, d_a, d_b)
-                - classical_conditional_entropy(q, d_a, d_b)
-            )
+            p_rows[j], q_rows[j] = p.probs, q.probs
+        fidelities = _classical_fidelity_rows(p_rows, q_rows).tolist()
+        diffs = np.abs(_hc_raw(p_rows, d_a, d_b) - _hc_raw(q_rows, d_a, d_b)).tolist()
+        for fidelity, diff in zip(fidelities, diffs):
+            measured = math.acos(fidelity)
             rows.append((measured, diff, u * measured))
     rows.sort()
     return ["angular", "entropy_diff", "bound"], rows

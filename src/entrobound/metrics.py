@@ -124,7 +124,12 @@ def classical_trace_distance(p: ClassicalDist, q: ClassicalDist) -> float:
 
 def classical_fidelity(p: ClassicalDist, q: ClassicalDist) -> float:
     check_classical_pair(p, q)
-    return float(np.clip(np.sum(np.sqrt(p.probs * q.probs)), 0.0, 1.0))
+    return float(_classical_fidelity_rows(p.probs, q.probs))
+
+
+def _classical_fidelity_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # Along the last axis, so a stack of pairs is evaluated at once.
+    return np.clip(np.sum(np.sqrt(p * q), axis=-1), 0.0, 1.0)
 
 
 def measure(measurement: Rank1Measurement, rho: DensityOperator) -> ClassicalDist:

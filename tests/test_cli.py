@@ -10,7 +10,7 @@ import pytest
 
 from entrobound import cli, experiments, linalg, states
 from entrobound.cli import render_csv
-from entrobound.entropy import conditional_entropy, lipschitz_u
+from entrobound.entropy import classical_conditional_entropy, conditional_entropy, lipschitz_u
 from entrobound.errors import OutOfRangeError
 from entrobound.experiments import (
     bounds_compare,
@@ -21,7 +21,8 @@ from entrobound.experiments import (
     fig1_scatter,
     fig2_fixed_angle,
 )
-from entrobound.metrics import angular_distance
+from entrobound.metrics import angular_distance, classical_fidelity
+from entrobound.sampling import RngHandle
 from entrobound.states import dense_state_to_json, make_density, make_qc_state, qc_state_to_json
 
 SEED = cli.DEFAULT_SEED
@@ -150,6 +151,74 @@ def curve_rows_by_family_pair(d_a, d_b, step):
         rows.append((lam, angle_cf, angular_distance(rho, sigma), diff_cf, diff_mx, bound,
                      int(diff_cf > bound + experiments.VIOLATION_TOL)))
     return rows
+
+
+def fig2_rows_by_pair(d_a, d_b, n_samples, seed, angles):
+    """fig2's rows with each pair evaluated on its own by the public kernels."""
+    u = lipschitz_u(d_a)
+    base = RngHandle(seed)
+    rows = []
+    for i, angle in enumerate(sorted(angles)):
+        rng = base.stream(i)
+        for _ in range(n_samples):
+            p, q = experiments.sample_classical_pair_at_angle(rng, d_a * d_b, angle)
+            measured = math.acos(classical_fidelity(p, q))
+            diff = abs(classical_conditional_entropy(p, d_a, d_b)
+                       - classical_conditional_entropy(q, d_a, d_b))
+            rows.append((measured, diff, u * measured))
+    rows.sort()
+    return rows
+
+
+FIG2_ANGLES = tuple(i * 1e-6 for i in range(1, 11))
+FIG2_SHAPES = [(8, 2), (2, 2), (2, 16), (1, 3), (3, 1)]
+
+
+class TestFig2StackedRoute:
+    """The stacked fig2 against ``fig2_rows_by_pair``, row for row."""
+
+    @pytest.mark.parametrize("d_a, d_b", FIG2_SHAPES)
+    @pytest.mark.parametrize("seed", [SEED, 7, 901])
+    def test_rows_equal_the_per_pair_loop(self, d_a, d_b, seed):
+        _, rows = fig2_fixed_angle(d_a, d_b, 30, seed)
+        assert rows == fig2_rows_by_pair(d_a, d_b, 30, seed, FIG2_ANGLES)
+
+    @pytest.mark.parametrize("d_a, d_b", FIG2_SHAPES)
+    def test_rows_with_exact_zeros(self, monkeypatch, d_a, d_b):
+        original = experiments.sample_classical_pair_at_angle
+
+        def zeroed(probs, k):
+            if k < probs.size:
+                probs = probs.copy()
+                probs[k] = 0.0
+                probs /= probs.sum()
+            return states.trusted_classical(probs)
+
+        def with_zeros(rng, d, angle):
+            # Zero positions come from the pair's own bits, so both routes see
+            # the same zeros: none, in p, in q, or in both at one entry.
+            p, q = original(rng, d, angle)
+            k = int(p.probs[0] * 2**20)
+            return zeroed(p.probs, k % (d + 1)), zeroed(q.probs, k // (d + 1) % (d + 1))
+
+        monkeypatch.setattr(experiments, "sample_classical_pair_at_angle", with_zeros)
+        _, rows = fig2_fixed_angle(d_a, d_b, 30, 5)
+        assert rows == fig2_rows_by_pair(d_a, d_b, 30, 5, FIG2_ANGLES)
+
+    def test_sampler_runs_n_times_per_angle_in_order(self, monkeypatch):
+        calls = []
+        original = experiments.sample_classical_pair_at_angle
+
+        def recording(rng, d, angle):
+            calls.append((rng.generator.bit_generator.state["state"]["state"], d, angle))
+            return original(rng, d, angle)
+
+        monkeypatch.setattr(experiments, "sample_classical_pair_at_angle", recording)
+        fig2_fixed_angle(3, 2, 4, SEED, angles=(5e-6, 1e-6, 3e-6))
+        assert [call[1:] for call in calls] == [(6, a) for a in (1e-6, 3e-6, 5e-6) for _ in range(4)]
+        base = RngHandle(SEED)
+        starts = [base.stream(i).generator.bit_generator.state["state"]["state"] for i in range(3)]
+        assert [calls[4 * i][0] for i in range(3)] == starts
 
 
 def family_oracle(d_a, d_b, lam):

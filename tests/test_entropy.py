@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from numpy.testing import assert_allclose
 from entrobound.entropy import (
     LIPSCHITZ,
     ConversionDirection,
+    _entropy_of_probabilities,
+    _hc_raw,
     audenaert_bound,
     binary_entropy,
     classical_conditional_entropy,
@@ -25,9 +28,14 @@ from entrobound.entropy import (
     winter_bound,
 )
 from entrobound.errors import DimensionMismatchError, OutOfRangeError
-from entrobound.metrics import angular_distance, trace_distance
+from entrobound.metrics import (
+    _classical_fidelity_rows,
+    angular_distance,
+    classical_fidelity,
+    trace_distance,
+)
 from entrobound.sampling import RngHandle, sample_density, sample_qc_pair
-from entrobound.states import make_density, make_qc_state, qc_embed, sqrt_vector
+from entrobound.states import make_classical, make_density, make_qc_state, qc_embed, sqrt_vector
 
 
 def qc(*blocks):
@@ -283,6 +291,114 @@ class TestHcOfVector:
     def test_classical_helper_checks_the_split(self):
         with pytest.raises(DimensionMismatchError):
             classical_conditional_entropy(np.full(6, 1 / 6), 2, 2)
+
+
+# Row lengths on both sides of numpy's pairwise-sum thresholds: below 8 the
+# sum is sequential, from 8 on it runs in 8 accumulators, and above 128 it
+# splits in halves.
+STACK_LENGTHS = [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 257, 1024]
+
+
+def rows_with_zeros(length, seed, n_rows=24):
+    """Nonnegative rows of ``length``; the rows take 0, 1 or 3 zeros in turn,
+    at random positions."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(length), size=n_rows)
+    for row, zeros in zip(rows, [0, 1, 3] * n_rows):
+        row[rng.choice(length, size=min(zeros, length), replace=False)] = 0.0
+    return rows
+
+
+class TestStackedKernels:
+    """A stack ``(..., n)`` gives, bit for bit, the 1-D kernel on each row."""
+
+    @pytest.mark.parametrize("length", STACK_LENGTHS)
+    def test_entropy_rows(self, length):
+        rows = rows_with_zeros(length, seed=length)
+        stacked = _entropy_of_probabilities(rows)
+        assert stacked.shape == (len(rows),)
+        assert np.array_equal(stacked, [_entropy_of_probabilities(row) for row in rows])
+        cube = _entropy_of_probabilities(rows.reshape(4, 6, length))
+        assert np.array_equal(cube.ravel(), stacked)
+
+    @pytest.mark.parametrize("length", STACK_LENGTHS)
+    def test_hc_rows_at_every_split(self, length):
+        rows = rows_with_zeros(length, seed=length + 1)
+        for d_a in (d for d in range(1, length + 1) if length % d == 0):
+            d_b = length // d_a
+            stacked = _hc_raw(rows, d_a, d_b)
+            assert np.array_equal(stacked, [_hc_raw(row, d_a, d_b) for row in rows])
+
+    def test_fidelity_rows(self):
+        p, q = rows_with_zeros(17, seed=5), rows_with_zeros(17, seed=6)
+        stacked = _classical_fidelity_rows(p, q)
+        assert np.array_equal(stacked, [_classical_fidelity_rows(a, b) for a, b in zip(p, q)])
+
+
+# d_A d_B <= 4 with at least two outcomes, so that zeros can be placed.
+CLASSICAL_ORACLE_SHAPES = [(1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
+# Fixed before the run; the measured worst cases are in README.
+ENTROPY_ORACLE_TOL = 2e-15
+FIDELITY_ORACLE_TOL = 1e-15
+
+
+def oracle_distributions(d, seed):
+    """Dirichlet draws, some with an exact zero or an entry near 1e-300."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([rng.dirichlet(np.ones(d), size=100),
+                           rng.dirichlet(np.full(d, 0.1), size=100)])
+    for row in rows[::4]:
+        row[rng.integers(d)] = 0.0
+    for row in rows[1::4]:
+        row[rng.integers(d)] = 1e-300 * rng.uniform(1.0, 10.0)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def entropy_oracle(p, d_a, d_b):
+    """``H(A|B)`` of the float entries of ``p`` at the working mpmath precision."""
+
+    def entropy(values):
+        return -mpmath.fsum(x * mpmath.log(x) for x in values if x > 0)
+
+    exact = [mpmath.mpf(float(x)) for x in p]
+    blocks = [mpmath.fsum(exact[k * d_a:(k + 1) * d_a]) for k in range(d_b)]
+    return entropy(exact) - entropy(blocks)
+
+
+def fidelity_oracle(p, q):
+    exact = mpmath.fsum(mpmath.sqrt(mpmath.mpf(float(a)) * mpmath.mpf(float(b)))
+                        for a, b in zip(p, q))
+    return min(exact, 1)
+
+
+class TestClassicalKernelsAgainst50Digits:
+    """``classical_conditional_entropy`` and ``classical_fidelity``, single and
+    stacked, against a 50-digit evaluation of the same float inputs."""
+
+    @pytest.mark.parametrize("d_a, d_b", CLASSICAL_ORACLE_SHAPES)
+    def test_conditional_entropy(self, d_a, d_b):
+        rows = oracle_distributions(d_a * d_b, seed=10 * d_a + d_b)
+        stacked = _hc_raw(rows, d_a, d_b)
+        with mpmath.workdps(50):
+            for row, value in zip(rows, stacked):
+                exact = entropy_oracle(row, d_a, d_b)
+                single = classical_conditional_entropy(make_classical(row), d_a, d_b)
+                assert abs(single - exact) <= ENTROPY_ORACLE_TOL
+                assert abs(value - exact) <= ENTROPY_ORACLE_TOL
+
+    @pytest.mark.parametrize("d", sorted({d_a * d_b for d_a, d_b in CLASSICAL_ORACLE_SHAPES}))
+    def test_fidelity(self, d):
+        p = oracle_distributions(d, seed=d)
+        # Each row against a fresh draw, against the next row, and against itself.
+        q = np.concatenate([oracle_distributions(d, seed=d + 100), np.roll(p, 1, axis=0), p])
+        p = np.concatenate([p, p, p])
+        stacked = _classical_fidelity_rows(p, q)
+        with mpmath.workdps(50):
+            for a, b, value in zip(p, q, stacked):
+                exact = fidelity_oracle(a, b)
+                single = classical_fidelity(make_classical(a), make_classical(b))
+                assert abs(single - exact) <= FIDELITY_ORACLE_TOL
+                assert abs(value - exact) <= FIDELITY_ORACLE_TOL
 
 
 class TestHcDerivative:
