@@ -32,14 +32,17 @@ from .entropy import (
     winter_bound,
 )
 from .errors import OutOfRangeError
-from .metrics import _classical_fidelity_rows, angular_distance
+from .metrics import _classical_fidelity_rows, _fidelity_from_spectrum_rows, angular_distance
 from .sampling import RngHandle, check_sampler_angle, sample_classical_pair_at_angle, sample_qc_pair
-from .states import check_dimension, qc_embed, trusted_density
+from .states import QCState, check_dimension, trusted_density
 
 # Grid threshold above which a bound excess counts as a violation.
 VIOLATION_TOL = 1e-9
 # Most steps a lambda grid may have: 10^6 steps are 8 MB of grid.
 MAX_LAMBDA_STEPS = 10**6
+# Most complex entries in one fig1 chunk's (pairs, d_B, d_A, d_A) stack: 32 kB
+# per stack, so a call's memory does not grow with its pair count.
+FIG1_CHUNK_ELEMENTS = 2**11
 
 Table = tuple[list[str], list[tuple]]
 
@@ -121,25 +124,54 @@ def fig1_scatter(d_a: int, d_b: int, n_samples: int, seed: int) -> Table:
     """(angular, |dH|, bound) rows for random QC pairs.
 
     The bound column is capped at ln d_A, the hard ceiling on QC
-    conditional-entropy differences.
+    conditional-entropy differences.  The pairs are drawn one at a time by
+    ``sample_qc_pair`` and evaluated on their blocks by ``_qc_pair_metrics``,
+    in chunks whose block stack holds at most ``FIG1_CHUNK_ELEMENTS`` entries.
     """
     if n_samples < 1:
         raise OutOfRangeError(f"n_samples must be >= 1, got {n_samples}")
     rng = RngHandle(seed)
     u = lipschitz_u(d_a)
     cap = math.log(d_a)
+    chunk = max(1, FIG1_CHUNK_ELEMENTS // (check_dimension(d_b) * d_a * d_a))
     rows = []
-    for _ in range(n_samples):
-        left, right = sample_qc_pair(rng, d_a, d_b)
-        rho, sigma = qc_embed(left), qc_embed(right)
-        angle = angular_distance(rho, sigma)
-        diff = abs(
-            conditional_entropy(rho, d_a, d_b)
-            - conditional_entropy(sigma, d_a, d_b)
-        )
-        rows.append((angle, diff, min(u * angle, cap)))
+    for start in range(0, n_samples, chunk):
+        pairs = [sample_qc_pair(rng, d_a, d_b) for _ in range(min(chunk, n_samples - start))]
+        fidelities, diffs = _qc_pair_metrics(pairs)
+        for angle, diff in zip(np.arccos(fidelities).tolist(), diffs.tolist()):
+            rows.append((angle, diff, min(u * angle, cap)))
     rows.sort()
     return ["angular", "entropy_diff", "bound"], rows
+
+
+def _qc_pair_metrics(pairs: list[tuple[QCState, QCState]]) -> tuple[np.ndarray, np.ndarray]:
+    """Root fidelity and ``|H(A|B)_rho - H(A|B)_sigma|`` of QC pairs of one shape.
+
+    Evaluated on the blocks, with no embedding.  For
+    ``rho = sum_k alpha_k rho_k (x) |k><k|``, and sigma with ``beta_k`` and
+    ``sigma_k``, the joint spectrum of rho is ``alpha_k w_kj`` (k outer) for
+    the stored spectra ``w_k`` of the blocks, so both conditional entropies
+    are ``_hc_raw`` of those rows.  ``sqrt(rho) sigma sqrt(rho)`` is block
+    diagonal with blocks ``alpha_k beta_k sqrt(rho_k) sigma_k sqrt(rho_k)``:
+    one stacked ``eigvalsh`` gives the spectra of all pairs, which
+    ``fidelity``'s row kernel floors against each pair's top and sums.
+    """
+    d_a, d_b = pairs[0][0].dim_a, pairs[0][0].dim_b
+    n = len(pairs)
+    weights = np.empty((2, n, d_b, 1))
+    spectra = np.empty((2, n, d_b, d_a))
+    roots = np.empty((n, d_b, d_a, d_a), dtype=complex)
+    sigmas = np.empty((n, d_b, d_a, d_a), dtype=complex)
+    for i, (rho, sigma) in enumerate(pairs):
+        for k, ((alpha, rho_k), (beta, sigma_k)) in enumerate(zip(rho.blocks, sigma.blocks)):
+            weights[:, i, k, 0] = alpha, beta
+            spectra[:, i, k] = rho_k.eigenvalues, sigma_k.eigenvalues
+            roots[i, k] = rho_k.spectrum.apply(np.sqrt)
+            sigmas[i, k] = sigma_k.matrix
+    entropies = _hc_raw((weights * spectra).reshape(2, n, d_b * d_a), d_a, d_b)
+    products = np.linalg.eigvalsh(roots @ sigmas @ roots) * (weights[0] * weights[1])
+    fidelities = _fidelity_from_spectrum_rows(products.reshape(n, d_b * d_a))
+    return fidelities, np.abs(entropies[0] - entropies[1])
 
 
 def fig2_fixed_angle(

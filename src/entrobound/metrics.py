@@ -100,10 +100,18 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """
     check_pair(rho, sigma)
     sq = rho.spectrum.apply(np.sqrt)
-    w = np.linalg.eigvalsh(sq @ sigma.matrix @ sq)
-    top = max(float(np.max(w)), 0.0)
+    return float(_fidelity_from_spectrum_rows(np.linalg.eigvalsh(sq @ sigma.matrix @ sq)))
+
+
+def _fidelity_from_spectrum_rows(w: np.ndarray) -> np.ndarray:
+    """Root fidelity from the eigenvalues of ``sqrt(rho) sigma sqrt(rho)``.
+
+    Along the last axis, so a stack of spectra is evaluated at once; each
+    row is floored relative to its own top eigenvalue.
+    """
+    top = np.maximum(np.max(w, axis=-1, keepdims=True), 0.0)
     w = np.where(w > 1e-14 * top, w, 0.0)
-    return float(np.clip(np.sum(np.sqrt(w)), 0.0, 1.0))
+    return np.clip(np.sum(np.sqrt(w), axis=-1), 0.0, 1.0)
 
 
 def angular_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

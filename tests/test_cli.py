@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import cli, experiments, linalg, states
 from entrobound.cli import render_csv
@@ -21,8 +23,8 @@ from entrobound.experiments import (
     fig1_scatter,
     fig2_fixed_angle,
 )
-from entrobound.metrics import angular_distance, classical_fidelity
-from entrobound.sampling import RngHandle
+from entrobound.metrics import angular_distance, classical_fidelity, fidelity
+from entrobound.sampling import RngHandle, sample_density, sample_haar_unitary, sample_qc_pair
 from entrobound.states import dense_state_to_json, make_density, make_qc_state, qc_state_to_json
 
 SEED = cli.DEFAULT_SEED
@@ -221,6 +223,261 @@ class TestFig2StackedRoute:
         assert [calls[4 * i][0] for i in range(3)] == starts
 
 
+def dense_metrics(left, right):
+    """Root fidelity and |dH| of a QC pair through its embedding at d_A d_B."""
+    rho, sigma = states.qc_embed(left), states.qc_embed(right)
+    d_a, d_b = left.dim_a, left.dim_b
+    diff = abs(conditional_entropy(rho, d_a, d_b) - conditional_entropy(sigma, d_a, d_b))
+    return fidelity(rho, sigma), diff
+
+
+def fig1_rows_by_dense_route(d_a, d_b, n_samples, seed):
+    """fig1's rows with each pair embedded and evaluated by the dense kernels."""
+    rng = RngHandle(seed)
+    u, cap = lipschitz_u(d_a), math.log(d_a)
+    rows = []
+    for _ in range(n_samples):
+        f, diff = dense_metrics(*sample_qc_pair(rng, d_a, d_b))
+        angle = float(np.arccos(f))
+        rows.append((angle, diff, min(u * angle, cap)))
+    rows.sort()
+    return rows
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name``, rebound in ``module`` and in every
+    package module that holds it, not only in its home."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for holder in [module] + [m for n, m in sys.modules.items() if n.startswith("entrobound")]:
+        for attr, value in list(vars(holder).items()):
+            if value is original:
+                monkeypatch.setattr(holder, attr, counting)
+    return calls
+
+
+# Fixed before the run: fig1's rows against the dense route, 310 pairs.
+FIG1_ORACLE_TOL = 1e-13
+FIG1_ORACLE_CASES = [(2, 2, 100), (2, 16, 30), (3, 4, 60), (1, 3, 60), (4, 1, 60)]
+
+
+class TestFig1BlockRoute:
+    """fig1 evaluates its pairs on their blocks, one stack per chunk."""
+
+    @pytest.mark.parametrize("d_a, d_b, n_samples", FIG1_ORACLE_CASES)
+    def test_rows_match_the_dense_route(self, d_a, d_b, n_samples):
+        _, rows = fig1_scatter(d_a, d_b, n_samples, SEED)
+        expected = fig1_rows_by_dense_route(d_a, d_b, n_samples, SEED)
+        assert len(rows) == len(expected) == n_samples
+        assert np.max(np.abs(np.array(rows) - np.array(expected))) <= FIG1_ORACLE_TOL
+
+    def test_one_stacked_eigvalsh_and_no_embedding(self, monkeypatch):
+        embeds = count_calls(monkeypatch, states, "qc_embed")
+        solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        fig1_scatter(2, 16, 20, SEED)
+        assert (len(embeds), len(solves)) == (0, 1)
+
+    def test_chunks_give_the_rows_of_one_stack(self, monkeypatch):
+        _, whole = fig1_scatter(3, 2, 40, SEED)
+        monkeypatch.setattr(experiments, "FIG1_CHUNK_ELEMENTS", 3 * 2 * 3 * 3)
+        solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        _, chunked = fig1_scatter(3, 2, 40, SEED)
+        assert chunked == whole
+        assert len(solves) == 14  # 13 chunks of 3 pairs and one of 1
+
+
+EDGE_FAMILIES = ("independent", "zero_weights", "rank_deficient", "equal", "near_orthogonal")
+# Fixed before the run.  A is compared only where F <= 1 - 1e-8, because
+# arccos amplifies a rounding step of F near F = 1.
+EDGE_FIDELITY_TOL = 1e-12
+EDGE_ANGLE_TOL = 1e-11
+EDGE_DIFF_TOL = 1e-13
+
+
+def block_state(weights, spectra, unitaries):
+    return make_qc_state([(w, make_density((u * p) @ u.conj().T))
+                          for w, p, u in zip(weights, spectra, unitaries)])
+
+
+def near_orthogonal_pair(d_a, d_b, seed, delta, rho_delta=None):
+    """rho_k on the first half of a shared eigenbasis, sigma_k on the rest, each
+    mixed with ``delta`` of the uniform spectrum (``rho_delta`` for rho); at
+    d_A = 1 the block weights are split that way instead.  Also returns the
+    exact fidelity ``sum_k sqrt(alpha_k beta_k) sum_j sqrt(p_kj q_kj)``."""
+    rng = RngHandle(seed)
+    gen = rng.generator
+    rho_delta = delta if rho_delta is None else rho_delta
+    half = d_a // 2
+    p, q = np.zeros((2, d_b, d_a))
+    for k in range(d_b):
+        p[k, :max(half, 1)] = gen.dirichlet(np.ones(max(half, 1)))
+        q[k, half:] = gen.dirichlet(np.ones(d_a - half))
+    alpha, beta = gen.dirichlet(np.ones(d_b)), gen.dirichlet(np.ones(d_b))
+    if d_a == 1 and d_b > 1:
+        alpha, beta = np.eye(d_b)[0], np.r_[0.0, np.full(d_b - 1, 1.0 / (d_b - 1))]
+        alpha, beta = (1 - rho_delta) * alpha + rho_delta / d_b, (1 - delta) * beta + delta / d_b
+    p, q = (1 - rho_delta) * p + rho_delta / d_a, (1 - delta) * q + delta / d_a
+    unitaries = [sample_haar_unitary(rng, d_a) for _ in range(d_b)]
+    exact = float(np.sum(np.sqrt(alpha * beta) * np.sum(np.sqrt(p * q), axis=1)))
+    return block_state(alpha, p, unitaries), block_state(beta, q, unitaries), exact
+
+
+def edge_pair(family, d_a, d_b, seed):
+    """A QC pair of one edge family, built through the validating constructors."""
+    if family == "near_orthogonal":
+        return near_orthogonal_pair(d_a, d_b, seed, 1e-4)[:2]
+    rng = RngHandle(seed)
+    gen = rng.generator
+    deficient = family in ("rank_deficient", "equal")
+    zeros = family in ("zero_weights", "equal")
+
+    def draw_state():
+        weights = gen.dirichlet(np.ones(d_b))
+        if zeros and d_b > 1:
+            weights[gen.choice(d_b, size=gen.integers(1, d_b), replace=False)] = 0.0
+            weights /= weights.sum()
+        spectra = np.zeros((d_b, d_a))
+        for row in spectra:
+            rank = gen.integers(1, d_a + 1) if deficient else d_a
+            row[:rank] = gen.dirichlet(np.ones(rank))
+        return block_state(weights, spectra, [sample_haar_unitary(rng, d_a) for _ in range(d_b)])
+
+    rho = draw_state()
+    return (rho, rho) if family == "equal" else (rho, draw_state())
+
+
+@st.composite
+def edge_pairs(draw):
+    """One to three QC pairs of one shape, each of an edge family."""
+    d_a, d_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cases = draw(st.lists(st.tuples(st.sampled_from(EDGE_FAMILIES), st.integers(0, 2**32 - 1)),
+                          min_size=1, max_size=3))
+    return [edge_pair(family, d_a, d_b, seed) for family, seed in cases]
+
+
+class TestQcPairMetricsEdgeFamilies:
+    """The block route of fig1 against the dense route on given QC pairs."""
+
+    @given(edge_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_block_route_matches_the_dense_route(self, pairs):
+        fidelities, diffs = experiments._qc_pair_metrics(pairs)
+        for pair, f, diff in zip(pairs, fidelities.tolist(), diffs.tolist()):
+            f_dense, diff_dense = dense_metrics(*pair)
+            assert abs(diff - diff_dense) <= EDGE_DIFF_TOL
+            assert abs(f - f_dense) <= EDGE_FIDELITY_TOL
+            if f_dense <= 1 - 1e-8:
+                assert abs(math.acos(f) - math.acos(f_dense)) <= EDGE_ANGLE_TOL
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10])
+    def test_near_orthogonal_precision_floor(self, delta):
+        # An eigenvalue mu ~ delta of sqrt(rho) sigma sqrt(rho), known to within
+        # about eps, moves F by about eps / (2 sqrt(mu)).  Measured on both routes:
+        # up to 1.6 eps / sqrt(delta).
+        tol = 4 * np.finfo(float).eps / math.sqrt(delta)
+        for d_a in range(1, 5):
+            for d_b in range(1, 5):
+                for seed in range(8):
+                    left, right, exact = near_orthogonal_pair(d_a, d_b, seed, delta)
+                    f_block = experiments._qc_pair_metrics([(left, right)])[0][0]
+                    assert abs(f_block - exact) <= tol
+                    assert abs(dense_metrics(left, right)[0] - exact) <= tol
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    def test_precision_floor_on_the_kernel_of_rho(self, delta):
+        # rho_k is exactly 0 where sigma_k lives, but its stored spectrum keeps
+        # the eigensolver's positive noise of order eps there, and the square
+        # root lifts it to order sqrt(eps) in F.  The relative floor acts on
+        # the spectrum of sqrt(rho) sigma sqrt(rho), whose top is small here,
+        # so it cannot remove it.  Measured on both routes: up to 2.0e-8 for
+        # any delta.
+        for d_a in range(2, 5):
+            for d_b in range(1, 5):
+                for seed in range(8):
+                    left, right, exact = near_orthogonal_pair(d_a, d_b, seed, delta, rho_delta=0.0)
+                    f_block = experiments._qc_pair_metrics([(left, right)])[0][0]
+                    assert abs(f_block - exact) <= 3e-8
+                    assert abs(dense_metrics(left, right)[0] - exact) <= 3e-8
+
+
+def mp_matrix(m):
+    return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in m])
+
+
+def mp_embedding(state):
+    """The embedding of a QC state at the working precision, from its blocks."""
+    d_a, d_b = state.dim_a, state.dim_b
+    out = mpmath.zeros(d_a * d_b, d_a * d_b)
+    for k, (weight, block) in enumerate(state.blocks):
+        for i, row in enumerate(block.matrix):
+            for j, z in enumerate(row):
+                out[k * d_a + i, k * d_a + j] = mpmath.mpf(weight) * mpmath.mpc(complex(z))
+    return out
+
+
+def mp_entropy(h):
+    return -mpmath.fsum(x * mpmath.log(x) for x in mpmath.eighe(h, eigvals_only=True) if x > 0)
+
+
+def conditional_entropy_oracle(h, d_a, d_b):
+    marginal = mpmath.matrix(d_b, d_b)
+    for k in range(d_b):
+        for l in range(d_b):
+            marginal[k, l] = mpmath.fsum(h[k * d_a + j, l * d_a + j] for j in range(d_a))
+    return mp_entropy(h) - mp_entropy(marginal)
+
+
+def fidelity_oracle(rho, sigma):
+    """``sum sqrt(mu)`` over the spectrum of ``sqrt(rho) sigma sqrt(rho)``, in [0, 1]."""
+    w, v = mpmath.eighe(rho)
+    d = rho.rows
+    sq = v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * v.transpose_conj()
+    product = sq * sigma * sq
+    product = (product + product.transpose_conj()) / 2
+    return min(mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in mpmath.eighe(product, eigvals_only=True)), 1)
+
+
+# d_A d_B <= 4.  Fixed before the run; the measured worst cases are in README.
+QUANTUM_ORACLE_SHAPES = [(1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
+QUANTUM_ENTROPY_ORACLE_TOL = 5e-14
+QUANTUM_FIDELITY_ORACLE_TOL = 1e-13
+
+
+class TestQuantumRoutesAgainst50Digits:
+    """The dense conditional entropy and fidelity, and fig1's block route,
+    against 50-digit evaluations of the same float matrices."""
+
+    @pytest.mark.parametrize("d_a, d_b", QUANTUM_ORACLE_SHAPES)
+    def test_dense_kernels(self, d_a, d_b):
+        rng = RngHandle(100 * d_a + d_b)
+        with mpmath.workdps(50):
+            for _ in range(20):
+                rho, sigma = sample_density(rng, d_a * d_b), sample_density(rng, d_a * d_b)
+                exact_rho, exact_sigma = mp_matrix(rho.matrix), mp_matrix(sigma.matrix)
+                exact = conditional_entropy_oracle(exact_rho, d_a, d_b)
+                assert abs(conditional_entropy(rho, d_a, d_b) - exact) <= QUANTUM_ENTROPY_ORACLE_TOL
+                exact = fidelity_oracle(exact_rho, exact_sigma)
+                assert abs(fidelity(rho, sigma) - exact) <= QUANTUM_FIDELITY_ORACLE_TOL
+
+    @pytest.mark.parametrize("d_a, d_b", QUANTUM_ORACLE_SHAPES)
+    def test_block_route(self, d_a, d_b):
+        rng = RngHandle(200 * d_a + d_b)
+        pairs = [sample_qc_pair(rng, d_a, d_b) for _ in range(20)]
+        fidelities, diffs = experiments._qc_pair_metrics(pairs)
+        with mpmath.workdps(50):
+            for (left, right), f, diff in zip(pairs, fidelities, diffs):
+                exact_rho, exact_sigma = mp_embedding(left), mp_embedding(right)
+                exact_diff = abs(conditional_entropy_oracle(exact_rho, d_a, d_b)
+                                 - conditional_entropy_oracle(exact_sigma, d_a, d_b))
+                assert abs(diff - exact_diff) <= QUANTUM_ENTROPY_ORACLE_TOL
+                assert abs(f - fidelity_oracle(exact_rho, exact_sigma)) <= QUANTUM_FIDELITY_ORACLE_TOL
+
+
 def family_oracle(d_a, d_b, lam):
     """Angle and |dH| of the family at the working mpmath precision.
 
@@ -337,19 +594,7 @@ class TestTables:
         ],
     )
     def test_package_built_states_skip_the_boundary_check(self, monkeypatch, table, config):
-        calls = []
-        original = linalg.as_hermitian
-
-        def counting(m):
-            calls.append(1)
-            return original(m)
-
-        # Rebind every module attribute that holds the function, not only linalg's.
-        for name, module in list(sys.modules.items()):
-            if name == "entrobound" or name.startswith("entrobound."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+        calls = count_calls(monkeypatch, linalg, "as_hermitian")
         table(*config)
         assert calls == []
         states.make_density(np.eye(2) / 2)  # outside input still goes through the check

@@ -30,6 +30,7 @@ from entrobound.entropy import (
 from entrobound.errors import DimensionMismatchError, OutOfRangeError
 from entrobound.metrics import (
     _classical_fidelity_rows,
+    _fidelity_from_spectrum_rows,
     angular_distance,
     classical_fidelity,
     trace_distance,
@@ -309,6 +310,22 @@ def rows_with_zeros(length, seed, n_rows=24):
     return rows
 
 
+def spectra_near_the_floor(length, seed):
+    """Rows of ``rows_with_zeros``, some with entries on the fidelity floor
+    ``1e-14 * top`` and one spacing either side of it, some with an entry just
+    below zero; the last two rows are all zero and all negative."""
+    rng = np.random.default_rng(seed)
+    rows = rows_with_zeros(length, seed)
+    for row in rows[1::3]:
+        floor = 1e-14 * row.max()
+        near = [np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)][:length]
+        row[rng.choice(length, size=len(near), replace=False)] = near
+    for row in rows[2::3]:
+        row[rng.integers(length)] = -1e-17
+    rows[-2], rows[-1] = 0.0, -1e-17
+    return rows
+
+
 class TestStackedKernels:
     """A stack ``(..., n)`` gives, bit for bit, the 1-D kernel on each row."""
 
@@ -333,6 +350,13 @@ class TestStackedKernels:
         p, q = rows_with_zeros(17, seed=5), rows_with_zeros(17, seed=6)
         stacked = _classical_fidelity_rows(p, q)
         assert np.array_equal(stacked, [_classical_fidelity_rows(a, b) for a, b in zip(p, q)])
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 16, 17, 128])
+    def test_fidelity_from_spectrum_rows(self, length):
+        rows = spectra_near_the_floor(length, seed=length + 2)
+        stacked = _fidelity_from_spectrum_rows(rows)
+        assert stacked.shape == (len(rows),)
+        assert np.array_equal(stacked, [_fidelity_from_spectrum_rows(row) for row in rows])
 
 
 # d_A d_B <= 4 with at least two outcomes, so that zeros can be placed.

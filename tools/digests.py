@@ -2,9 +2,10 @@
 
 Each line is a command and the first 16 hex digits of the sha256 of its
 stdout.  Only ``fig1`` and ``fig2`` read a seed, so only they get
-``--seed 20221``.  The three ``fig2`` lines have rows of 16, 32 and 3
-entries, so they cover both the pairwise-blocked and the sequential sum of
-numpy along a row.  The last line is ``classify`` over the 18 valid pair files
+``--seed 20221``.  The last two ``fig1`` lines take the edge shapes
+``d_A = 1`` and ``d_B = 1`` through fig1's block route.  The three ``fig2``
+lines have rows of 16, 32 and 3 entries, so they cover both the
+pairwise-blocked and the sequential sum of numpy along a row.  The last line is ``classify`` over the 18 valid pair files
 of the benchmark (``VALID_KINDS`` of ``perfbench/workloads.py``), written in
 order by ``make_pair_file(np.random.default_rng(20221), kind)``, with their
 outputs concatenated.  Equal digests on two checkouts mean byte-identical
@@ -37,6 +38,8 @@ COMMANDS = [
     ["fig1", "--n", "500", "--db", "2", "--seed", SEED],
     ["fig1", "--n", "500", "--db", "16", "--seed", SEED],
     ["fig1", "--n", "50", "--format", "svg", "--seed", SEED],
+    ["fig1", "--n", "200", "--da", "1", "--db", "3", "--seed", SEED],
+    ["fig1", "--n", "200", "--da", "3", "--db", "1", "--seed", SEED],
     ["fig2", "--n", "100", "--da", "8", "--db", "2", "--seed", SEED],
     ["fig2", "--n", "100", "--da", "2", "--db", "16", "--seed", SEED],
     ["fig2", "--n", "100", "--da", "1", "--db", "3", "--seed", SEED],
