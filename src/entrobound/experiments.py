@@ -194,7 +194,7 @@ def fig2_fixed_angle(
         check_sampler_angle(angle)
     base = RngHandle(seed)
     u = lipschitz_u(d_a)
-    dim = d_a * d_b
+    dim = d_a * check_dimension(d_b)
     p_rows, q_rows = np.empty((2, n_samples, dim))
     rows = []
     for i, angle in enumerate(angles):

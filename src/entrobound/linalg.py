@@ -130,8 +130,11 @@ def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     mistaken for a negative eigenvalue; for density spectra (``|w| <= 1``) it
     is ``PSD_CLAMP_TOL`` itself.  Anything below the window indicates invalid
     (non-PSD) input rather than rounding, and raises.  The package's one PSD
-    clamp: a density's stored spectrum (``states.trusted_density``) and
+    clamp: ``states.trusted_density``, for the spectrum it stores, and
     ``_psd_sqrt`` call it, and nothing downstream of either clamps again.
+    A sampled density (``sampling._density``) stores its drawn simplex
+    eigenvalues, which ``states.trusted_classical`` has clamped, and does not
+    call it.
     """
     lo = float(np.min(w))
     if lo < -PSD_CLAMP_TOL:  # the window is never narrower, so valid spectra skip the scale

@@ -6,14 +6,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRangeError, RejectionBudgetExhaustedError
-from .linalg import frozen
+from .linalg import SpectralDecomposition, frozen, symmetrized
 from .states import (
     ClassicalDist,
     DensityOperator,
     QCState,
     check_dimension,
     trusted_classical,
-    trusted_density,
 )
 
 __all__ = [
@@ -66,7 +65,11 @@ def sample_haar_unitary(rng: RngHandle, d: int) -> np.ndarray:
 
 
 def sample_density(rng: RngHandle, d: int) -> DensityOperator:
-    """Random density operator: simplex eigenvalues in a Haar-random eigenbasis."""
+    """Random density operator: simplex eigenvalues in a Haar-random eigenbasis.
+
+    The stored spectrum is that eigensystem, sorted ascending, not a new
+    eigendecomposition of the matrix.
+    """
     return _density(rng, check_dimension(d))
 
 
@@ -101,9 +104,15 @@ def _haar_unitary(rng: RngHandle, d: int) -> np.ndarray:
 
 
 def _density(rng: RngHandle, d: int) -> DensityOperator:
+    # No eigensolve: the simplex clamp keeps the eigenvalues >= 0 with unit
+    # sum, and the sort gives the ascending order SpectralDecomposition needs.
     evals = _simplex(rng, d).probs
     u = _haar_unitary(rng, d)
-    return trusted_density((u * evals) @ u.conj().T)
+    order = np.argsort(evals)
+    return DensityOperator(
+        symmetrized((u * evals) @ u.conj().T),
+        SpectralDecomposition(frozen(evals[order]), frozen(u[:, order])),
+    )
 
 
 def _sample_qc_state(rng: RngHandle, d_a: int, d_b: int) -> QCState:

@@ -277,10 +277,13 @@ class TestFig1BlockRoute:
         assert np.max(np.abs(np.array(rows) - np.array(expected))) <= FIG1_ORACLE_TOL
 
     def test_one_stacked_eigvalsh_and_no_embedding(self, monkeypatch):
+        # The sampled blocks keep the eigensystems they were drawn with, so
+        # the stacked eigvalsh is the call's only eigensolve.
         embeds = count_calls(monkeypatch, states, "qc_embed")
+        decompositions = count_calls(monkeypatch, np.linalg, "eigh")
         solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
         fig1_scatter(2, 16, 20, SEED)
-        assert (len(embeds), len(solves)) == (0, 1)
+        assert (len(embeds), len(decompositions), len(solves)) == (0, 0, 1)
 
     def test_chunks_give_the_rows_of_one_stack(self, monkeypatch):
         _, whole = fig1_scatter(3, 2, 40, SEED)
@@ -819,6 +822,10 @@ class TestMain:
         monkeypatch.setattr(cli, "fig2_fixed_angle", lambda *args: calls.append(args))
         assert cli.main(["fig2", "--n", "2", "--angles", angles]) == 2
         assert calls == []
+
+    def test_fig2_rejects_a_negative_db(self, capsys):
+        assert cli.main(["fig2", "--n", "2", "--db", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: dimension must be")
 
     def test_absent_angles_give_the_ten_defaults(self, capsys):
         assert cli.main(["fig2", "--n", "1", "--seed", "3"]) == 0

@@ -1,14 +1,16 @@
 """Print the byte-identity digests of the CLI's outputs at seed 20221.
 
 Each line is a command and the first 16 hex digits of the sha256 of its
-stdout.  Only ``fig1`` and ``fig2`` read a seed, so only they get
-``--seed 20221``.  The last two ``fig1`` lines take the edge shapes
+stdout.  Only ``fig1``, ``fig2`` and ``sample`` read a seed, so only they
+get ``--seed 20221``.  The last two ``fig1`` lines take the edge shapes
 ``d_A = 1`` and ``d_B = 1`` through fig1's block route.  The three ``fig2``
 lines have rows of 16, 32 and 3 entries, so they cover both the
-pairwise-blocked and the sequential sum of numpy along a row.  The last line is ``classify`` over the 18 valid pair files
-of the benchmark (``VALID_KINDS`` of ``perfbench/workloads.py``), written in
-order by ``make_pair_file(np.random.default_rng(20221), kind)``, with their
-outputs concatenated.  Equal digests on two checkouts mean byte-identical
+pairwise-blocked and the sequential sum of numpy along a row.  The two
+``sample`` lines write a QC and a dense pair at the default 2 x 2.  The last
+line is ``classify`` over the 18 valid pair files of the benchmark
+(``VALID_KINDS`` of ``perfbench/workloads.py``), written in order by
+``make_pair_file(np.random.default_rng(20221), kind)``, with their outputs
+concatenated.  Equal digests on two checkouts mean byte-identical
 output.  Run from anywhere; the package is imported from this checkout's
 ``src``:
 
@@ -49,6 +51,8 @@ COMMANDS = [
     ["scan"],
     ["scan", "--format", "svg"],
     ["compare"],
+    ["sample", "--kind", "qc", "--seed", SEED],
+    ["sample", "--kind", "dense", "--seed", SEED],
 ]
 
 
