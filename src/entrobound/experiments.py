@@ -32,9 +32,10 @@ from .entropy import (
     winter_bound,
 )
 from .errors import OutOfRangeError
+from .linalg import SpectralDecomposition, frozen, symmetrized
 from .metrics import _classical_fidelity_rows, _fidelity_from_spectrum_rows, angular_distance
 from .sampling import RngHandle, check_sampler_angle, sample_classical_pair_at_angle, sample_qc_pair
-from .states import QCState, check_dimension, trusted_density
+from .states import DensityOperator, QCState, check_dimension, trusted_density
 
 # Grid threshold above which a bound excess counts as a violation.
 VIOLATION_TOL = 1e-9
@@ -67,18 +68,28 @@ def _entangled_projector(d_a: int, d_b: int) -> np.ndarray:
     return np.outer(vec, vec)
 
 
-def _mixed_toward_identity(rho: np.ndarray, lam: float) -> np.ndarray:
-    """``lam I/d + (1 - lam) rho`` for the real matrix of rho."""
-    dim = rho.shape[0]
-    return lam * np.eye(dim) / dim + (1.0 - lam) * rho
+def _family_sigma(rho: DensityOperator, lam: float) -> DensityOperator:
+    """``sigma = lam I/d + (1 - lam) rho`` with rho's eigensystem, decomposing nothing.
+
+    sigma's eigenvectors are rho's and its eigenvalues ``lam/d + (1 - lam) w``
+    for rho's stored ``w``: ascending because ``1 - lam >= 0``, at least 0
+    because ``w`` is clamped, and of trace 1 within rounding.
+    """
+    d = rho.dim
+    matrix = symmetrized(lam * np.eye(d) / d + (1.0 - lam) * rho.matrix)
+    w = frozen(lam / d + (1.0 - lam) * rho.eigenvalues)
+    return DensityOperator(matrix, SpectralDecomposition(w, rho.spectrum.eigenvectors))
 
 
 def family_pair(d_a: int, d_b: int, lam: float):
-    """Matrix route: maximally entangled rho and its mix with I/(d_A d_B)."""
+    """Matrix route: maximally entangled rho and its mix with I/(d_A d_B).
+
+    rho is decomposed; sigma keeps rho's eigensystem (``_family_sigma``).
+    """
     if not 0.0 <= lam <= 1.0:
         raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam}")
-    rho = _entangled_projector(d_a, d_b)
-    return trusted_density(rho), trusted_density(_mixed_toward_identity(rho, lam))
+    rho = trusted_density(_entangled_projector(d_a, d_b))
+    return rho, _family_sigma(rho, lam)
 
 
 def family_closed_form(d_a: int, d_b: int, lam: float) -> tuple[float, float]:
@@ -215,20 +226,20 @@ def counterexample_curve(d_a: int, d_b: int, lambda_step: float) -> Table:
     """Interpolation family along lambda, closed form next to matrix route.
 
     rho does not depend on lambda: its matrix, its spectrum and ``H(A|B)_rho``
-    are built once per call, and each grid point builds and decomposes only
-    sigma, with the same arithmetic as ``family_pair``.
+    are built once per call.  Each grid point builds sigma as ``family_pair``
+    does, with rho's eigensystem, so the only eigensolves per point are the
+    fidelity's ``eigvalsh`` and the ``eigh`` of sigma's partial trace.
     """
     check_dimension(d_b)
     u = lipschitz_u(d_a)
     grid = _lambda_grid(lambda_step)
-    rho_matrix = _entangled_projector(d_a, d_b)
-    rho = trusted_density(rho_matrix)
+    rho = trusted_density(_entangled_projector(d_a, d_b))
     entropy_rho = conditional_entropy(rho, d_a, d_b)
     rows = []
     for lam in grid:
         lam = float(lam)
         angle_cf, diff_cf = family_closed_form(d_a, d_b, lam)
-        sigma = trusted_density(_mixed_toward_identity(rho_matrix, lam))
+        sigma = _family_sigma(rho, lam)
         angle_mx = angular_distance(rho, sigma)
         diff_mx = abs(entropy_rho - conditional_entropy(sigma, d_a, d_b))
         bound = u * angle_cf

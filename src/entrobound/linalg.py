@@ -134,7 +134,8 @@ def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     ``_psd_sqrt`` call it, and nothing downstream of either clamps again.
     A sampled density (``sampling._density``) stores its drawn simplex
     eigenvalues, which ``states.trusted_classical`` has clamped, and does not
-    call it.
+    call it; nor does the family's sigma (``experiments._family_sigma``),
+    whose eigenvalues ``lam/d + (1 - lam) w`` mix rho's clamped ``w``.
     """
     lo = float(np.min(w))
     if lo < -PSD_CLAMP_TOL:  # the window is never narrower, so valid spectra skip the scale

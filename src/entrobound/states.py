@@ -244,6 +244,13 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
 
 
+def _json_number(x, what: str):
+    """``x`` if it is a JSON number (int or float, not bool), else ``StateFormatError``."""
+    if type(x) not in (int, float):
+        raise StateFormatError(f"{what} must be a JSON number, got {x!r}")
+    return x
+
+
 def _matrix_from_json(obj, what: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -251,6 +258,13 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
         raise StateFormatError(f"{what}: malformed complex matrix") from exc
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise StateFormatError(f"{what}: expected shape (d, d, 2), got {arr.shape}")
+    # The cast above also takes strings, bools and null, which are not JSON
+    # numbers; the shape check has made obj a (d, d, 2) nest.
+    for row in obj:
+        for entry in row:
+            for x in entry:
+                if type(x) not in (int, float):
+                    _json_number(x, f"{what} entry")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -284,7 +298,8 @@ def state_from_json(obj) -> tuple[DensityOperator, int, int]:
     try:
         if kind == "qc":
             blocks = [
-                (float(b["weight"]), make_density(_matrix_from_json(b["matrix"], "block")))
+                (float(_json_number(b["weight"], "block weight")),
+                 make_density(_matrix_from_json(b["matrix"], "block")))
                 for b in obj["blocks"]
             ]
             state = make_qc_state(blocks)

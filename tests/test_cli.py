@@ -106,6 +106,30 @@ def different_splits(blob):
     blob["sigma"] = dense_state_to_json(make_density(np.eye(4) / 4), 4, 1)
 
 
+# Each file below is a valid pair once its one value is read as the float a
+# cast would give (0.5, 0.0, 0.5, 0.5 and 1.0), so only the number-type check
+# rejects it.
+def entry_as_string(blob):
+    blob["rho"]["blocks"][0]["matrix"][0][0] = ["0.5", 0.0]
+
+
+def entry_as_boolean(blob):
+    blob["rho"]["blocks"][0]["matrix"][0][1] = [False, 0.0]
+
+
+def weight_as_string(blob):
+    blob["rho"]["blocks"][0]["weight"] = "0.5"
+
+
+def weight_as_padded_string(blob):
+    blob["rho"]["blocks"][0]["weight"] = " 5e-1 "
+
+
+def weight_as_boolean(blob):
+    blob["rho"]["blocks"][0]["weight"] = True
+    blob["rho"]["blocks"][1]["weight"] = 0.0
+
+
 class TestFamily:
     def test_lambda_zero_is_the_entangled_state(self):
         angle, diff = family_closed_form(2, 2, 0.0)
@@ -513,6 +537,8 @@ class TestCurveBuildsRhoOnce:
 
     @pytest.mark.parametrize("d_a, d_b, step", [(2, 2, 0.25), (2, 3, 0.1), (3, 1, 1.0)])
     def test_rho_is_decomposed_once_per_curve(self, monkeypatch, d_a, d_b, step):
+        # sigma keeps rho's eigensystem, so the eigh calls are rho's, rho_B's
+        # and one per point for sigma_B.
         counts = {"trusted_density": 0, "conditional_entropy": 0}
         for name in counts:
             original = getattr(experiments, name)
@@ -522,10 +548,47 @@ class TestCurveBuildsRhoOnce:
                 return _original(*args)
 
             monkeypatch.setattr(experiments, name, counting)
+        decompositions = count_calls(monkeypatch, np.linalg, "eigh")
         _, rows = counterexample_curve(d_a, d_b, step)
         points = round(1.0 / step) + 1
         assert len(rows) == points
-        assert counts == {"trusted_density": points + 1, "conditional_entropy": points + 1}
+        assert counts == {"trusted_density": 1, "conditional_entropy": points + 1}
+        assert len(decompositions) == points + 2
+
+    def test_family_pair_decomposes_only_rho(self, monkeypatch):
+        decompositions = count_calls(monkeypatch, np.linalg, "eigh")
+        family_pair(3, 2, 0.5)
+        assert len(decompositions) == 1
+
+
+FAMILY_SIGMA_SHAPES = [(d, d) for d in range(1, 11)] + [(3, 2), (2, 4), (1, 3)]
+# Fixed before the run; measured worst 7.8e-16 (eigenvalues), 2.8e-16
+# (V diag(w) V† against the matrix) and 2.2e-15 (V† V against I).
+FAMILY_SIGMA_ORACLE_TOL = 1e-13
+
+
+class TestFamilySigma:
+    """sigma of the family keeps rho's eigensystem; a fresh eigensolve of its
+    matrix (``trusted_density``) is the oracle."""
+
+    @pytest.mark.parametrize("d_a, d_b", FAMILY_SIGMA_SHAPES)
+    def test_stored_eigensystem_matches_a_fresh_eigensolve(self, d_a, d_b):
+        d = d_a * d_b
+        rho_real = experiments._entangled_projector(d_a, d_b)
+        for lam in np.linspace(0.0, 1.0, 21):
+            lam = float(lam)
+            _, sigma = family_pair(d_a, d_b, lam)
+            w, v = sigma.eigenvalues, sigma.spectrum.eigenvectors
+            oracle = states.trusted_density(sigma.matrix)
+            assert np.all(np.diff(w) >= 0.0) and np.min(w) >= 0.0
+            assert np.max(np.abs(w - oracle.eigenvalues)) <= FAMILY_SIGMA_ORACLE_TOL
+            assert np.max(np.abs(sigma.spectrum.reconstruct() - sigma.matrix)) <= FAMILY_SIGMA_ORACLE_TOL
+            assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= FAMILY_SIGMA_ORACLE_TOL
+            assert not any(a.flags.writeable for a in (sigma.matrix, w, v))
+            built = linalg.symmetrized(
+                np.asarray(lam * np.eye(d) / d + (1.0 - lam) * rho_real, dtype=complex)
+            )
+            assert np.array_equal(sigma.matrix, built)
 
 
 class TestFamilyAgainst50Digits:
@@ -544,7 +607,7 @@ class TestFamilyAgainst50Digits:
     @pytest.mark.parametrize("d_a, d_b", ORACLE_SHAPES)
     def test_matrix_route_precision_floor(self, d_a, d_b):
         # Floors measured over these shapes: the angle is worst at (3, 3),
-        # 7.53e-15, and |dH| at (10, 10), 5.22e-14.  At lambda = 0, sigma is
+        # 7.53e-15, and |dH| at (10, 10), 4.93e-14.  At lambda = 0, sigma is
         # rho bit for bit, and arccos reads a fidelity up to 4 spacings below 1.
         _, rows = counterexample_curve(d_a, d_b, 0.01)
         at_zero = (0.0, float(np.arccos(1.0 - 2.0**-52)), float(np.arccos(1.0 - 2.0**-51)))
@@ -555,7 +618,7 @@ class TestFamilyAgainst50Digits:
                     continue
                 angle_mp, diff_mp = family_oracle(d_a, d_b, lam)
                 assert abs(angle_mx - angle_mp) <= 7.6e-15
-                assert abs(diff_mx - diff_mp) <= 5.3e-14
+                assert abs(diff_mx - diff_mp) <= 5.0e-14
 
 
 class TestTables:
@@ -775,6 +838,27 @@ class TestMain:
         path.write_text(json.dumps(blob))
         assert cli.main(["classify", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (entry_as_string, "block entry must be a JSON number, got '0.5'"),
+            (entry_as_boolean, "block entry must be a JSON number, got False"),
+            (weight_as_string, "block weight must be a JSON number, got '0.5'"),
+            (weight_as_padded_string, "block weight must be a JSON number, got ' 5e-1 '"),
+            (weight_as_boolean, "block weight must be a JSON number, got True"),
+        ],
+    )
+    def test_classify_entries_and_weights_must_be_json_numbers(
+        self, tmp_path, capsys, mutate, message
+    ):
+        blob = qc_pair_blob()
+        mutate(blob)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(blob))
+        assert cli.main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_classify_missing_file_exits_1(self):
         assert cli.main(["classify", "/nonexistent/pair.json"]) == 1

@@ -5,7 +5,9 @@ stdout.  Only ``fig1``, ``fig2`` and ``sample`` read a seed, so only they
 get ``--seed 20221``.  The last two ``fig1`` lines take the edge shapes
 ``d_A = 1`` and ``d_B = 1`` through fig1's block route.  The three ``fig2``
 lines have rows of 16, 32 and 3 entries, so they cover both the
-pairwise-blocked and the sequential sum of numpy along a row.  The two
+pairwise-blocked and the sequential sum of numpy along a row.  The
+``curve`` lines at ``--da 2 --db 4`` and ``--da 3 --db 1`` take the partial
+trace of the family through ``d_B > d_A`` and ``d_B = 1``.  The two
 ``sample`` lines write a QC and a dense pair at the default 2 x 2.  The last
 line is ``classify`` over the 18 valid pair files of the benchmark
 (``VALID_KINDS`` of ``perfbench/workloads.py``), written in order by
@@ -47,6 +49,8 @@ COMMANDS = [
     ["fig2", "--n", "100", "--da", "1", "--db", "3", "--seed", SEED],
     ["curve", "--da", "2", "--db", "2"],
     ["curve", "--da", "10", "--db", "10"],
+    ["curve", "--da", "2", "--db", "4"],
+    ["curve", "--da", "3", "--db", "1"],
     ["curve", "--lambda-step", "0.1", "--format", "json"],
     ["scan"],
     ["scan", "--format", "svg"],
