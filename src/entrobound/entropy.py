@@ -9,14 +9,13 @@ Lipschitz constant ``u(d) = 2 sqrt(f(d))`` built from the concave majorant
 where ``x0 ~ 4.922`` is the tangency point solving ``ln x = 2 (1 - 1/x)``.
 ``u(d_A)`` times the angular distance bounds the conditional-entropy
 difference of quantum-classical state pairs; the module also carries the
-older trace-distance bounds and conversions between the two families, plus
-the great-circle machinery behind the angular-distance bound (the function
-``H_c`` on square-root vectors and its exact derivative).
+older trace-distance bounds, the conversion of a trace distance into the
+angular bound, and the great-circle machinery behind the angular-distance
+bound (the function ``H_c`` on square-root vectors and its exact derivative).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from .states import (
 )
 
 __all__ = [
-    "LIPSCHITZ", "LipschitzConstants", "ConversionDirection", "PathState",
+    "LIPSCHITZ", "LipschitzConstants", "PathState",
     "von_neumann_entropy", "conditional_entropy", "binary_entropy", "audenaert_bound",
     "winter_bound", "lipschitz_u", "sekatski_bound", "naive_conditional_bound",
     "qc_continuity_bound", "convert_bounds", "hc_of_vector",
@@ -72,15 +71,6 @@ class LipschitzConstants:
             return self.slope * (x - 1.0)
         return math.log(x) ** 2
 
-    def u(self, d: int) -> float:
-        """Lipschitz constant ``2 sqrt(f(d))`` for integer dimension d >= 1.
-
-        Real-valued d is rejected: the derivation's final step uses the
-        integrality of the dimension, and ``u(d) = 2 ln d`` exactly once
-        d >= 5 > x0.
-        """
-        return 2.0 * math.sqrt(self.majorant(float(check_dimension(d))))
-
 
 def _make_constants() -> LipschitzConstants:
     x0 = _solve_x0()
@@ -91,8 +81,13 @@ LIPSCHITZ = _make_constants()
 
 
 def lipschitz_u(d: int) -> float:
-    """Lipschitz constant ``u(d)`` of entropy with respect to angular distance."""
-    return LIPSCHITZ.u(d)
+    """Lipschitz constant ``u(d) = 2 sqrt(f(d))`` of entropy in angular distance.
+
+    d is an integer >= 1.  Real-valued d is rejected: the derivation's final
+    step uses the integrality of the dimension, and ``u(d) = 2 ln d`` exactly
+    once d >= 5 > x0.
+    """
+    return 2.0 * math.sqrt(LIPSCHITZ.majorant(float(check_dimension(d))))
 
 
 def _entropy_of_probabilities(w: np.ndarray) -> float | np.ndarray:
@@ -186,27 +181,13 @@ def qc_continuity_bound(angle: float, d_a: int) -> float:
     return sekatski_bound(angle, d_a)
 
 
-class ConversionDirection(enum.Enum):
-    """Which way to convert between trace-distance and angular-distance bounds."""
+def convert_bounds(trace_dist: float, d_a: int) -> float:
+    """Conditional-entropy bound ``u(d_A) arccos(1 - T)`` from a trace distance.
 
-    ANGULAR_FROM_TRACE = "angular_from_trace"
-    TRACE_FROM_ANGULAR = "trace_from_angular"
-
-
-def convert_bounds(value: float, direction: ConversionDirection, d_a: int) -> float:
-    """Convert across the Fuchs-van de Graaf inequalities.
-
-    ANGULAR_FROM_TRACE takes a trace distance T and returns the conditional
-    entropy bound ``u(d_A) arccos(1 - T)`` obtained from ``A <= arccos(1-T)``.
-    TRACE_FROM_ANGULAR takes an angular distance A and returns ``sin A``, the
-    trace distance to feed into the trace-distance bounds.
+    Converts across the Fuchs-van de Graaf inequality ``A <= arccos(1 - T)``.
     """
-    if direction is ConversionDirection.ANGULAR_FROM_TRACE:
-        t = _check_trace_distance(value)
-        return lipschitz_u(d_a) * float(np.arccos(1.0 - t))
-    if direction is ConversionDirection.TRACE_FROM_ANGULAR:
-        return math.sin(_check_angle(value))
-    raise OutOfRangeError(f"unknown direction {direction!r}")
+    t = _check_trace_distance(trace_dist)
+    return lipschitz_u(d_a) * float(np.arccos(1.0 - t))
 
 
 # -- the function H_c on square-root vectors and its derivative ---------------
@@ -254,14 +235,6 @@ class PathState:
     theta0: float
     s_perp: np.ndarray
 
-    @property
-    def dim_a(self) -> int:
-        return self.r.dim_a
-
-    @property
-    def dim_b(self) -> int:
-        return self.r.dim_b
-
     def v(self, theta: float) -> np.ndarray:
         return math.cos(theta) * self.r.entries + math.sin(theta) * self.s_perp
 
@@ -270,7 +243,7 @@ class PathState:
 
     def hc(self, theta: float) -> float:
         vv = self.v(theta)
-        return _hc_raw(vv * vv, self.dim_a, self.dim_b)
+        return _hc_raw(vv * vv, self.r.dim_a, self.r.dim_b)
 
 
 def great_circle_path(r: SqrtVector, s: SqrtVector) -> PathState:
@@ -301,8 +274,8 @@ def hc_derivative(path: PathState, theta: float) -> float:
     vv = path.v(theta)
     ww = path.w(theta)
     sq = vv * vv
-    block_sums = sq.reshape(path.dim_b, path.dim_a).sum(axis=1)
-    per_entry = np.repeat(block_sums, path.dim_a)
+    block_sums = sq.reshape(path.r.dim_b, path.r.dim_a).sum(axis=1)
+    per_entry = np.repeat(block_sums, path.r.dim_a)
     mask = sq > 0.0
     return float(-2.0 * np.sum(vv[mask] * ww[mask] * np.log(sq[mask] / per_entry[mask])))
 

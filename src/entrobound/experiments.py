@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from .entropy import (
-    ConversionDirection,
     _hc_raw,
     audenaert_bound,
     conditional_entropy,
@@ -300,19 +299,20 @@ def bounds_compare(d_a: int, lambda_step: float) -> Table:
     The trace distance runs over the grid of step ``lambda_step``.  The
     dominance columns record the small-T comparison constant
     ln(d_A - 1) + 2 against u(d_A); dominance_holds is simply the truth of
-    that inequality for this d_A.
+    that inequality for this d_A.  d_A must be at least 2: neither
+    ``ln(d_A - 1)`` nor the Audenaert bound is defined at d_A = 1.
     """
-    u = lipschitz_u(d_a)
-    lhs = math.log(d_a - 1) + 2.0 if d_a >= 2 else 2.0
+    u = lipschitz_u(check_dimension(d_a, 2))
+    lhs = math.log(d_a - 1) + 2.0
     rows = []
     for t in _lambda_grid(lambda_step):
         t = float(t)
         rows.append(
             (
                 t,
-                audenaert_bound(t, max(d_a, 2)),
+                audenaert_bound(t, d_a),
                 winter_bound(t, d_a),
-                convert_bounds(t, ConversionDirection.ANGULAR_FROM_TRACE, d_a),
+                convert_bounds(t, d_a),
                 u * math.sqrt(2.0 * t),
                 math.sin(math.acos(1.0 - t)),
                 lhs,

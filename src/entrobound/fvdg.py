@@ -318,7 +318,7 @@ def pure_fidelity_optimal(measurement: Rank1Measurement, rho_vec, sigma_vec) -> 
 def _unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise OutOfRangeError(f"expected a unit vector, norm is {norm!r}")
     return v
 

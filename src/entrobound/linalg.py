@@ -167,6 +167,15 @@ def m_from_spectrum(rho: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray
 
     Unchecked: ``rho`` must be invertible and ``sigma`` a trusted Hermitian
     matrix of the same shape.
+
+    Floor: the eigensolve of ``rho^{1/2} sigma rho^{1/2}`` compounds the two
+    conditionings, so ``m_operator``'s largest entry error against a 60-digit
+    evaluation of this formula on the same float matrices stays below
+    ``4 kappa(rho)^{3/2} kappa(sigma)^{1/2} eps max(1, max|M|)``, where kappa
+    is the ratio of the largest to the smallest eigenvalue and eps is the
+    double-precision machine epsilon.  Measured on random pairs at d = 2..7
+    mixed toward I/d at delta = 1e-1..1e-6 (kappa up to about 7e6, errors up
+    to 3.5e-4).
     """
     r_half = rho.apply(np.sqrt)
     r_inv_half = rho.apply(lambda w: 1.0 / np.sqrt(w))

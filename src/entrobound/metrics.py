@@ -18,7 +18,7 @@ from .states import ClassicalDist, DensityOperator, trusted_classical
 __all__ = [
     "DistanceTriple", "Rank1Measurement", "make_measurement", "trace_distance",
     "fidelity", "angular_distance", "distance_triple", "classical_trace_distance",
-    "classical_fidelity", "measure", "fvdg_residuals",
+    "classical_fidelity", "measure",
 ]
 
 ORTHONORMALITY_TOL = 1e-10
@@ -58,8 +58,11 @@ def make_measurement(vectors) -> Rank1Measurement:
     b = np.asarray(vectors, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatchError(f"expected a square basis matrix, got {b.shape}")
-    residual = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-    if residual > ORTHONORMALITY_TOL:
+    # A NaN or inf entry makes the residual NaN, which `>` would let through;
+    # inf times 0 in the product would also raise numpy's invalid-value warning.
+    with np.errstate(invalid="ignore"):
+        residual = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
+    if not residual <= ORTHONORMALITY_TOL:
         raise NotOrthonormalError(f"Gram residual {residual:.3e}")
     return Rank1Measurement(frozen(b.copy()))
 
@@ -151,12 +154,3 @@ def measure(measurement: Rank1Measurement, rho: DensityOperator) -> ClassicalDis
     b = measurement.basis
     p = np.real(np.einsum("ix,ij,jx->x", b.conj(), rho.matrix, b))
     return trusted_classical(p)
-
-
-def fvdg_residuals(rho: DensityOperator, sigma: DensityOperator) -> tuple[float, float]:
-    """Slack in the two Fuchs-van de Graaf inequalities.
-
-    Returns ``(T - (1 - F), sqrt(1 - F^2) - T)``; both are nonnegative up to
-    rounding, and a zero marks the corresponding inequality as saturated.
-    """
-    return distance_triple(rho, sigma).fvdg_gaps()

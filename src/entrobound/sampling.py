@@ -31,15 +31,17 @@ class RngHandle:
     Handles are single-owner: share seeds, not handles, across workers.
     ``stream(i)`` derives an independent child reseeded at
     ``(seed + i) mod 2**64`` — the documented split rule, so experiment output
-    does not depend on how work is divided among threads.
+    does not depend on how work is divided among threads.  The seed is an
+    integer in [0, 2**64); floats, bools and strings are rejected, as they
+    are for dimensions.
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < _TWO64:
-            raise OutOfRangeError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
-        self.generator = np.random.default_rng(seed)
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or not 0 <= seed < _TWO64):
+            raise OutOfRangeError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        self.seed = int(seed)
+        self.generator = np.random.default_rng(self.seed)
 
     def stream(self, index: int) -> "RngHandle":
         return RngHandle((self.seed + int(index)) % _TWO64)

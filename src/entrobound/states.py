@@ -32,6 +32,7 @@ __all__ = [
 
 TRACE_TOL = 1e-9
 WEIGHT_TOL = 1e-12
+QC_BLOCK_TOL = 1e-12
 
 
 def check_dimension(d, least: int = 1) -> int:
@@ -205,7 +206,7 @@ def sqrt_vector(state: QCState) -> SqrtVector:
     return SqrtVector(linalg.frozen(entries), d_a, d_b)
 
 
-def is_qc_block_diagonal(rho: DensityOperator, d_a: int, d_b: int, tol: float = 1e-12) -> bool:
+def is_qc_block_diagonal(rho: DensityOperator, d_a: int, d_b: int) -> bool:
     """Exact-structure check: block diagonal over the given classical basis.
 
     This is deliberately not a basis search; a state counts as QC here only
@@ -216,7 +217,7 @@ def is_qc_block_diagonal(rho: DensityOperator, d_a: int, d_b: int, tol: float = 
     off = blocks.copy()
     for k in range(d_b):
         off[k, :, k, :] = 0.0
-    return bool(np.max(np.abs(off)) <= tol)
+    return bool(np.max(np.abs(off)) <= QC_BLOCK_TOL)
 
 
 def theta0(r: SqrtVector, s: SqrtVector) -> float:

@@ -911,6 +911,13 @@ class TestMain:
         assert cli.main(["fig2", "--n", "2", "--db", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: dimension must be")
 
+    @pytest.mark.parametrize("d_a", ["1", "0"])
+    def test_compare_rejects_da_below_2(self, capsys, d_a):
+        # At d_A = 1 neither ln(d_A - 1) nor the Audenaert bound is defined.
+        assert cli.main(["compare", "--da", d_a]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dimension must be an integer >= 2")
+
     def test_absent_angles_give_the_ten_defaults(self, capsys):
         assert cli.main(["fig2", "--n", "1", "--seed", "3"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 10

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from entrobound.entropy import (
     LIPSCHITZ,
-    ConversionDirection,
     _entropy_of_probabilities,
     _hc_raw,
     audenaert_bound,
@@ -237,21 +236,18 @@ class TestAngularBounds:
 
 class TestConvertBounds:
     def test_zero(self):
-        assert convert_bounds(0.0, ConversionDirection.ANGULAR_FROM_TRACE, 2) == 0.0
+        assert convert_bounds(0.0, 2) == 0.0
 
     def test_small_trace_distance(self):
-        exact = convert_bounds(0.02, ConversionDirection.ANGULAR_FROM_TRACE, 2)
+        exact = convert_bounds(0.02, 2)
         assert exact == pytest.approx(0.3224, abs=1e-4)
         approx = lipschitz_u(2) * math.sqrt(2 * 0.02)
         assert approx == pytest.approx(0.3219, abs=1e-4)
         assert exact == pytest.approx(approx, abs=1e-3)
 
-    def test_trace_from_angular(self):
-        assert convert_bounds(math.pi / 2, ConversionDirection.TRACE_FROM_ANGULAR, 2) == 1.0
-
     def test_domain(self):
         with pytest.raises(OutOfRangeError):
-            convert_bounds(1.5, ConversionDirection.ANGULAR_FROM_TRACE, 2)
+            convert_bounds(1.5, 2)
 
 
 class TestHcOfVector:

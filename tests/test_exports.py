@@ -8,7 +8,7 @@ import entrobound
 
 MODULES = ["errors", "linalg", "states", "metrics", "entropy", "fvdg", "sampling"]
 
-# entrobound.__all__ as it stood when __init__ still listed every name itself.
+# The package's public names, in the order of entrobound.__all__.
 EXPORTED = [
     "__version__",
     "EntroboundError", "NonHermitianError", "NoConvergenceError",
@@ -24,8 +24,7 @@ EXPORTED = [
     "DistanceTriple", "Rank1Measurement", "make_measurement",
     "trace_distance", "fidelity", "angular_distance", "distance_triple",
     "classical_trace_distance", "classical_fidelity", "measure",
-    "fvdg_residuals",
-    "LIPSCHITZ", "LipschitzConstants", "ConversionDirection", "PathState",
+    "LIPSCHITZ", "LipschitzConstants", "PathState",
     "von_neumann_entropy", "conditional_entropy", "binary_entropy",
     "audenaert_bound", "winter_bound", "lipschitz_u", "sekatski_bound",
     "naive_conditional_bound", "qc_continuity_bound", "convert_bounds",

@@ -488,6 +488,12 @@ class TestPureFidelityOptimal:
             pure_fidelity_optimal(make_measurement(np.eye(2)), np.array([1.0, 1.0]),
                                   np.array([0.0, 1.0]))
 
+    def test_rejects_a_nan_vector(self):
+        # Its norm is NaN, which a plain `>` test lets through.
+        with pytest.raises(OutOfRangeError):
+            pure_fidelity_optimal(make_measurement(np.eye(2)), np.array([np.nan, 0.0]),
+                                  np.array([1.0, 0.0]))
+
 
 class TestPerturbationTrace:
     def test_equal_states(self):

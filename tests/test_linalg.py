@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -217,6 +218,70 @@ class TestMOperator:
         for a, b in scaled_psd_pairs(1e6):
             m = m_operator(a, b)
             assert np.max(np.abs(m @ a @ m - b)) <= 1e-8 * np.max(np.abs(b))
+
+
+def mixed_pairs(seed, per_cell=2):
+    """Pairs at d = 2..7 whose densities have a random rank r <= d and are then
+    mixed toward I/d at delta = 1e-1..1e-6, so their condition numbers reach
+    about d / delta."""
+    gen = np.random.default_rng(seed)
+
+    def density(d, delta):
+        rank = gen.integers(1, d + 1)
+        w = np.zeros(d)
+        w[:rank] = gen.exponential(size=rank)
+        q, r = np.linalg.qr(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        m = (u * (w / w.sum())) @ u.conj().T
+        return (1.0 - delta) * ((m + m.conj().T) / 2.0) + delta * np.eye(d) / d
+
+    for d in range(2, 8):
+        for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            for _ in range(per_cell):
+                yield density(d, delta), density(d, delta)
+
+
+def m_oracle(rho, sigma):
+    """``rho^{-1/2} (rho^{1/2} sigma rho^{1/2})^{1/2} rho^{-1/2}`` at 60 digits
+    on the same float matrices."""
+    with mpmath.workdps(60):
+        r, s = (mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
+                for a in (rho, sigma))
+
+        def apply(h, fn):
+            w, v = mpmath.eighe(h)
+            return v * mpmath.diag([fn(x) for x in w]) * v.transpose_conj()
+
+        product = apply(r, mpmath.sqrt) * s * apply(r, mpmath.sqrt)
+        inv_half = apply(r, lambda x: 1 / mpmath.sqrt(x))
+        m = inv_half * apply((product + product.transpose_conj()) / 2, mpmath.sqrt) * inv_half
+        return np.array(m.tolist(), dtype=complex)
+
+
+def condition(h):
+    w = np.linalg.eigvalsh(h)
+    return w[-1] / w[0]
+
+
+# The floor's form and its constant were fixed on seed 1, three pairs per cell:
+# the largest error / (kappa_rho^1.5 kappa_sigma^0.5 eps max(1, max|M|)) was
+# 2.09 there.  kappa_sigma enters because the product's smallest eigenvalues
+# go through a square root: with kappa_rho = 1.4 and kappa_sigma = 3e6 the
+# error was about 200 eps, which no power of kappa_rho alone bounds.
+M_FLOOR = 4.0
+
+
+def test_m_operator_error_stays_under_its_conditioning_floor():
+    """``linalg.m_from_spectrum``'s documented floor, asserted on seed 2."""
+    eps = np.finfo(float).eps
+    ratios = []
+    for rho, sigma in mixed_pairs(seed=2):
+        exact = m_oracle(rho, sigma)
+        err = np.max(np.abs(m_operator(rho, sigma) - exact))
+        floor = (condition(rho) ** 1.5 * condition(sigma) ** 0.5 * eps
+                 * max(1.0, np.max(np.abs(exact))))
+        ratios.append(err / floor)
+    assert max(ratios) <= M_FLOOR
 
 
 class TestMOperatorPerturbed:

@@ -17,7 +17,6 @@ from entrobound.metrics import (
     classical_trace_distance,
     distance_triple,
     fidelity,
-    fvdg_residuals,
     make_measurement,
     measure,
     trace_distance,
@@ -164,6 +163,14 @@ class TestMeasure:
         with pytest.raises(NotOrthonormalError):
             make_measurement(np.array([[1.0, 0.9], [0.0, 0.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_basis_with_a_non_finite_entry(self, bad):
+        # The Gram residual is then NaN, which a plain `>` test lets through.
+        basis = np.eye(2)
+        basis[0, 0] = bad
+        with pytest.raises(NotOrthonormalError):
+            make_measurement(basis)
+
     def test_rejects_non_square_basis(self):
         with pytest.raises(DimensionMismatchError):
             make_measurement(np.eye(3)[:, :2])
@@ -183,7 +190,7 @@ class TestMeasure:
 class TestFvdgResiduals:
     def test_equal_pair(self):
         rho = diag_density(0.6, 0.4)
-        lower, upper = fvdg_residuals(rho, rho)
+        lower, upper = distance_triple(rho, rho).fvdg_gaps()
         assert lower == pytest.approx(0.0, abs=1e-12)
         assert upper == pytest.approx(0.0, abs=1e-12)
 
@@ -192,7 +199,7 @@ class TestFvdgResiduals:
         for _ in range(50):
             rho, _ = rand_pure_density(rng, 3)
             sigma, _ = rand_pure_density(rng, 3)
-            _, upper = fvdg_residuals(rho, sigma)
+            _, upper = distance_triple(rho, sigma).fvdg_gaps()
             assert abs(upper) <= 1e-10
 
     def test_swap_family(self):
@@ -202,7 +209,7 @@ class TestFvdgResiduals:
         triple = distance_triple(rho, sigma)
         assert triple.trace_distance == pytest.approx(0.6, abs=1e-12)
         assert triple.fidelity == pytest.approx(0.8, abs=1e-12)
-        _, upper = fvdg_residuals(rho, sigma)
+        _, upper = triple.fvdg_gaps()
         assert upper == pytest.approx(0.0, abs=1e-12)
 
     def test_holds_on_random_pairs(self):
@@ -211,7 +218,7 @@ class TestFvdgResiduals:
             d = int(rng.generator.integers(2, 5))
             rho = rand_invertible_density(rng, d)
             sigma = rand_invertible_density(rng, d)
-            lower, upper = fvdg_residuals(rho, sigma)
+            lower, upper = distance_triple(rho, sigma).fvdg_gaps()
             assert lower >= -1e-9
             assert upper >= -1e-9
 

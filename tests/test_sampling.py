@@ -44,6 +44,17 @@ class TestRngHandle:
             RngHandle(2**64)
         assert RngHandle(2**64 - 1).stream(5).seed == 4
 
+    @pytest.mark.parametrize("seed", [3.7, 3.0, True, "5"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(OutOfRangeError, match=repr(seed)):
+            RngHandle(seed)
+
+    def test_numpy_integer_seed_draws_as_the_int(self):
+        a = RngHandle(np.int64(5))
+        assert type(a.seed) is int
+        assert np.array_equal(a.generator.standard_normal(4),
+                              RngHandle(5).generator.standard_normal(4))
+
     def test_sequences_are_reproducible_across_calls(self):
         rng1, rng2 = RngHandle(77), RngHandle(77)
         for _ in range(5):

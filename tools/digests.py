@@ -7,8 +7,11 @@ get ``--seed 20221``.  The last two ``fig1`` lines take the edge shapes
 lines have rows of 16, 32 and 3 entries, so they cover both the
 pairwise-blocked and the sequential sum of numpy along a row.  The
 ``curve`` lines at ``--da 2 --db 4`` and ``--da 3 --db 1`` take the partial
-trace of the family through ``d_B > d_A`` and ``d_B = 1``.  The two
-``sample`` lines write a QC and a dense pair at the default 2 x 2.  The last
+trace of the family through ``d_B > d_A`` and ``d_B = 1``.  The
+``compare`` lines at ``--da 4`` and ``--da 7`` take the trace-to-angle
+conversion beyond d_A = 2, one on each side of the dominance flag (0 at
+d_A = 4, 1 at 7).  The two ``sample`` lines write a QC and a dense pair at
+the default 2 x 2.  The last
 line is ``classify`` over the 18 valid pair files of the benchmark
 (``VALID_KINDS`` of ``perfbench/workloads.py``), written in order by
 ``make_pair_file(np.random.default_rng(20221), kind)``, with their outputs
@@ -55,6 +58,8 @@ COMMANDS = [
     ["scan"],
     ["scan", "--format", "svg"],
     ["compare"],
+    ["compare", "--da", "4"],
+    ["compare", "--da", "7"],
     ["sample", "--kind", "qc", "--seed", SEED],
     ["sample", "--kind", "dense", "--seed", SEED],
 ]
