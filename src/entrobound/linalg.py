@@ -66,18 +66,23 @@ def as_hermitian(m) -> np.ndarray:
     # A NaN residual compares false and would pass the test below.
     if not np.isfinite(m).all():
         raise OutOfRangeError("matrix has a NaN or infinite entry")
-    residual = float(np.max(np.abs(m - m.conj().T)))
+    m_h = m.conj().T
+    residual = float(np.max(np.abs(m - m_h)))
     scale = max(float(np.max(np.abs(m))), 1.0)
     if residual > HERMITICITY_TOL * scale:
         raise NonHermitianError(
             f"symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL * scale:.3e}"
         )
-    return symmetrized(m)
+    return symmetrized(m, m_h)
 
 
-def symmetrized(m: np.ndarray) -> np.ndarray:
-    """The package's one symmetrizer: read-only ``(m + m†)/2`` of a trusted array."""
-    return frozen((m + m.conj().T) / 2.0)
+def symmetrized(m: np.ndarray, m_h: np.ndarray | None = None) -> np.ndarray:
+    """The package's one symmetrizer: read-only ``(m + m†)/2`` of a trusted array.
+
+    ``m_h`` is ``m†`` when the caller has formed it already.  The result is
+    exactly Hermitian, so symmetrizing it again returns it bit for bit.
+    """
+    return frozen((m + (m.conj().T if m_h is None else m_h)) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +135,9 @@ def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     mistaken for a negative eigenvalue; for density spectra (``|w| <= 1``) it
     is ``PSD_CLAMP_TOL`` itself.  Anything below the window indicates invalid
     (non-PSD) input rather than rounding, and raises.  The package's one PSD
-    clamp: ``states.trusted_density``, for the spectrum it stores, and
-    ``_psd_sqrt`` call it, and nothing downstream of either clamps again.
+    clamp: ``states.make_density`` and ``trusted_density``, for the spectrum
+    they store, and ``_psd_sqrt`` call it, and nothing downstream of either
+    clamps again.
     A sampled density (``sampling._density``) stores its drawn simplex
     eigenvalues, which ``states.trusted_classical`` has clamped, and does not
     call it; nor does the family's sigma (``experiments._family_sigma``),
@@ -211,8 +217,10 @@ def geometric_mean(a, b) -> np.ndarray:
     """
     a, b = _hermitian_pair(a, b, "geometric_mean")
     dec = _invertible_spectrum(a, "geometric_mean")
-    # A # B = (A^{-1})^{-1} # B, and A^{-1} is V diag(1/w) V†.
-    return m_from_spectrum(SpectralDecomposition(1.0 / dec.eigenvalues, dec.eigenvectors), b)
+    # A # B = (A^{-1})^{-1} # B, and A^{-1} is V diag(1/w) V†, reversed so
+    # its eigenvalues ascend.
+    inverse = SpectralDecomposition(1.0 / dec.eigenvalues[::-1], dec.eigenvectors[:, ::-1])
+    return m_from_spectrum(inverse, b)
 
 
 def m_operator(rho, sigma) -> np.ndarray:

@@ -32,8 +32,8 @@ class RngHandle:
     ``stream(i)`` derives an independent child reseeded at
     ``(seed + i) mod 2**64`` — the documented split rule, so experiment output
     does not depend on how work is divided among threads.  The seed is an
-    integer in [0, 2**64); floats, bools and strings are rejected, as they
-    are for dimensions.
+    integer in [0, 2**64), and the stream index any integer; floats, bools
+    and strings are rejected for both, as they are for dimensions.
     """
 
     def __init__(self, seed: int):
@@ -44,6 +44,8 @@ class RngHandle:
         self.generator = np.random.default_rng(self.seed)
 
     def stream(self, index: int) -> "RngHandle":
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise OutOfRangeError(f"stream index must be an integer, got {index!r}")
         return RngHandle((self.seed + int(index)) % _TWO64)
 
 

@@ -67,7 +67,7 @@ class DensityOperator:
 
 def make_density(m) -> DensityOperator:
     """Validate ``m`` as a density operator (Hermitian, PSD, trace 1)."""
-    return trusted_density(linalg.as_hermitian(m))
+    return _density_of(linalg.as_hermitian(m))
 
 
 def trusted_density(m) -> DensityOperator:
@@ -77,10 +77,18 @@ def trusted_density(m) -> DensityOperator:
     symmetrizes.  The PSD clamp and the trace check stay: package arithmetic
     can leave them unmet, e.g. ``qc_embed`` of weights and blocks that each
     pass within ``TRACE_TOL`` can reach a trace of ``1 + 2 TRACE_TOL``.
+    """
+    return _density_of(linalg.symmetrized(np.asarray(m, dtype=complex)))
+
+
+def _density_of(h: np.ndarray) -> DensityOperator:
+    """Density operator of an exactly Hermitian read-only ``h``.
+
     The stored spectrum is the clamped one, so every reader of a density's
     eigenvalues sees them >= 0; the trace check sums the unclamped ones.
+    ``make_density`` passes ``as_hermitian``'s result straight in: a second
+    symmetrization would return it bit for bit.
     """
-    h = linalg.symmetrized(np.asarray(m, dtype=complex))
     dec = linalg.decompose(h)
     w = linalg.clamped_psd_eigenvalues(dec.eigenvalues)
     trace = float(np.sum(dec.eigenvalues))
@@ -253,20 +261,28 @@ def _json_number(x, what: str):
 
 
 def _matrix_from_json(obj, what: str) -> np.ndarray:
+    # One walk flattens the nest, stopping short at the first row or entry of
+    # the wrong length, so only a (d, d, 2) nest gives 2 d^2 numbers.  The cast
+    # runs first: it rejects "x" as malformed, and takes "0.5", bools and null,
+    # which are not JSON numbers.
     try:
-        arr = np.asarray(obj, dtype=float)
+        d = len(obj)
+        flat = []
+        for row in obj:
+            if len(row) != d:
+                break
+            for entry in row:
+                if len(entry) != 2:
+                    break
+                flat += entry
+        arr = np.array(flat, dtype=float)
     except (TypeError, ValueError) as exc:
         raise StateFormatError(f"{what}: malformed complex matrix") from exc
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise StateFormatError(f"{what}: expected shape (d, d, 2), got {arr.shape}")
-    # The cast above also takes strings, bools and null, which are not JSON
-    # numbers; the shape check has made obj a (d, d, 2) nest.
-    for row in obj:
-        for entry in row:
-            for x in entry:
-                if type(x) not in (int, float):
-                    _json_number(x, f"{what} entry")
-    return arr[..., 0] + 1j * arr[..., 1]
+    if not d or arr.shape != (2 * d * d,):
+        raise StateFormatError(f"{what}: expected shape (d, d, 2) with d >= 1")
+    if not {type(x) for x in flat} <= {int, float}:
+        _json_number(next(x for x in flat if type(x) not in (int, float)), f"{what} entry")
+    return arr.view(complex).reshape(d, d)
 
 
 def qc_state_to_json(state: QCState) -> dict:

@@ -130,6 +130,38 @@ def weight_as_boolean(blob):
     blob["rho"]["blocks"][1]["weight"] = 0.0
 
 
+def dense_pair_blob():
+    return {"rho": dense_state_to_json(make_density(np.diag([0.6, 0.4])), 2, 1),
+            "sigma": dense_state_to_json(make_density(np.diag([0.5, 0.5])), 2, 1)}
+
+
+# Replacements for a 2 x 2 rho matrix that is not a (d, d, 2) nest of numbers.
+BAD_MATRICES = {
+    "ragged_rows": [[[0.6, 0], [0, 0]], [[0, 0]]],
+    "entry_of_length_3": [[[0.6, 0, 0], [0, 0]], [[0, 0], [0.4, 0]]],
+    "entries_of_length_3_and_1": [[[0.6, 0, 0], [0]], [[0, 0], [0.4, 0]]],
+    "deeper_nesting": [[[[0.6], [0]], [[0], [0]]], [[[0], [0]], [[0.4], [0]]]],
+    "dict_row": [{"re": [0.6, 0], "im": [0, 0]}, [[0, 0], [0.4, 0]]],
+    "empty": [],
+    "scalar": 0.6,
+    "huge_integer": [[[10**400, 0], [0, 0]], [[0, 0], [0.4, 0]]],
+}
+
+
+def sampled_pair_blob(kind):
+    """A dense invertible, a pure (non-invertible) or a 2 x 2 QC pair."""
+    rng = RngHandle(4321)
+    if kind == "qc":
+        return dict(zip(("rho", "sigma"), map(qc_state_to_json, sample_qc_pair(rng, 2, 2))))
+    if kind == "dense":
+        densities = [sample_density(rng, 4) for _ in range(2)]
+    else:
+        vectors = [rng.generator.standard_normal(4) + 1j * rng.generator.standard_normal(4)
+                   for _ in range(2)]
+        densities = [make_density(np.outer(v, v.conj()) / np.vdot(v, v).real) for v in vectors]
+    return {name: dense_state_to_json(rho, 2, 2) for name, rho in zip(("rho", "sigma"), densities)}
+
+
 class TestFamily:
     def test_lambda_zero_is_the_entangled_state(self):
         angle, diff = family_closed_form(2, 2, 0.0)
@@ -859,6 +891,40 @@ class TestMain:
         assert cli.main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_MATRICES))
+    def test_classify_matrix_that_is_not_a_d_d_2_nest_exits_2(self, tmp_path, capsys, name):
+        blob = dense_pair_blob()
+        blob["rho"]["matrix"] = BAD_MATRICES[name]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(blob))
+        assert cli.main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "kind, solves, checks, invertible",
+        [
+            # two densities, F and T in one stack, M's inner root and spec(M)
+            ("dense", 5, 2, True),
+            # no M for a non-invertible pair
+            ("pure", 3, 2, False),
+            # four blocks and two embeddings, then as the dense pair
+            ("qc", 9, 4, True),
+        ],
+    )
+    def test_classify_per_call_work(
+        self, tmp_path, capsys, monkeypatch, kind, solves, checks, invertible
+    ):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(sampled_pair_blob(kind)))
+        decompositions = count_calls(monkeypatch, np.linalg, "eigh")
+        spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        boundary = count_calls(monkeypatch, linalg, "as_hermitian")
+        assert cli.main(["classify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["invertible"] is invertible
+        assert len(decompositions) + len(spectra) == solves
+        # once per matrix read from the file
+        assert len(boundary) == checks
 
     def test_classify_missing_file_exits_1(self):
         assert cli.main(["classify", "/nonexistent/pair.json"]) == 1

@@ -310,7 +310,34 @@ class TestClassicalSaturationClass:
             assert (cls in (SaturationClass.C2, SaturationClass.BOTH)) == upper
 
 
+# Fixed on seed 0, where the largest ratio was 2.19 over 2100 draws; asserted
+# on seed 3000.
+EQUAL_UPPER_GAP_FLOOR = 3.0
+
+
 class TestClassifyPair:
+    def test_equal_pair_upper_gap_is_noise_below_its_floor(self):
+        # upper_gap = sqrt(1 - F^2) with F just below 1 is not 0 but noise of
+        # size sqrt(eps / lambda_min(rho)); its floor as SaturationReport states.
+        eps = np.finfo(float).eps
+        ratios, positive = [], 0
+        for d in (2, 3, 4, 6, 8, 12, 16):
+            rng = RngHandle(3000 + d)
+            for _ in range(300):
+                rho = make_density(sample_density(rng, d).matrix)
+                report = classify_pair(rho, rho)
+                assert report.pair_class is PairClass.EQUAL
+                ratios.append(report.upper_gap * np.sqrt(rho.eigenvalues[0] / eps))
+                positive += report.upper_gap > 0.0
+        assert max(ratios) <= EQUAL_UPPER_GAP_FLOOR
+        assert positive >= len(ratios) // 4
+
+    @pytest.mark.parametrize("lam", [5e-8, 1e-8, 1e-10])
+    def test_equal_pair_upper_gap_below_the_fidelity_floor(self, lam):
+        # lam^2 falls under the fidelity's relative floor, so F = 1 - lam.
+        rho = diag_density(1.0 - lam, lam)
+        assert classify_pair(rho, rho).upper_gap == pytest.approx(np.sqrt(2.0 * lam), rel=1e-6)
+
     def test_equal_invertible(self):
         rho = diag_density(0.6, 0.4)
         report = classify_pair(rho, rho)

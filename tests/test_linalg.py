@@ -172,6 +172,26 @@ class TestGeometricMean:
         with pytest.raises(NotInvertibleError):
             geometric_mean(np.diag([1.0, 0.0]), np.eye(2))
 
+    def test_kernel_gets_the_inverse_with_its_eigenvalues_ascending(self, monkeypatch):
+        # SpectralDecomposition promises ascending eigenvalues; 1/w of an
+        # ascending w descends unless it is reversed.
+        seen = []
+        original = linalg.m_from_spectrum
+
+        def recording(dec, sigma):
+            seen.append(dec)
+            return original(dec, sigma)
+
+        monkeypatch.setattr(linalg, "m_from_spectrum", recording)
+        rng = RngHandle(6)
+        for d in (2, 3, 5):
+            a = rand_positive_definite(rng, d)
+            geometric_mean(a, rand_positive_definite(rng, d))
+            dec = seen[-1]
+            assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+            assert_allclose(dec.reconstruct(), np.linalg.inv(a), atol=1e-12)
+        assert len(seen) == 3
+
 
 class TestMOperator:
     def test_equal_states_give_identity(self):

@@ -248,6 +248,28 @@ def test_commuting_pairs_match_classical_measures():
         assert fidelity(rho, sigma) == pytest.approx(classical_fidelity(p, q), abs=1e-12)
 
 
+def test_triple_equals_the_single_routes_bit_for_bit(monkeypatch):
+    # One stacked eigvalsh gives each matrix the spectrum of a call on it alone.
+    rng = RngHandle(38)
+    pairs = [(rand_invertible_density(rng, d), rand_invertible_density(rng, d))
+             for d in (1, 2, 3, 4, 8, 16) for _ in range(5)]
+    pairs += [(rand_pure_density(rng, d)[0], rand_pure_density(rng, d)[0]) for d in (2, 4, 8)]
+    pairs += [(rho, rho) for rho, _ in pairs[:6]]
+    expected = [(trace_distance(r, s), fidelity(r, s), angular_distance(r, s)) for r, s in pairs]
+    solves = []
+    original = np.linalg.eigvalsh
+
+    def counting(a):
+        solves.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for (rho, sigma), want in zip(pairs, expected):
+        triple = distance_triple(rho, sigma)
+        assert (triple.trace_distance, triple.fidelity, triple.angular) == want
+    assert solves == [(2, rho.dim, rho.dim) for rho, _ in pairs]
+
+
 def test_triple_consistency():
     rng = RngHandle(37)
     rho = rand_invertible_density(rng, 4)

@@ -49,6 +49,16 @@ class TestRngHandle:
         with pytest.raises(OutOfRangeError, match=repr(seed)):
             RngHandle(seed)
 
+    @pytest.mark.parametrize("index", [1.7, True, "2"])
+    def test_stream_index_must_be_an_integer(self, index):
+        # int() would read these as 1, 1 and 2, giving seeds 6, 6 and 7.
+        with pytest.raises(OutOfRangeError, match=repr(index)):
+            RngHandle(5).stream(index)
+
+    def test_numpy_integer_stream_index_keeps_the_split_rule(self):
+        child = RngHandle(2**64 - 1).stream(np.int64(5))
+        assert type(child.seed) is int and child.seed == 4
+
     def test_numpy_integer_seed_draws_as_the_int(self):
         a = RngHandle(np.int64(5))
         assert type(a.seed) is int

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entrobound import linalg, states
@@ -331,6 +333,27 @@ class TestJsonFormat:
         path.write_text("{not json")
         with pytest.raises(StateFormatError):
             load_state_pair(str(path))
+
+
+JSON_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.integers(-(2**60), 2**60))
+
+
+@st.composite
+def json_matrices(draw):
+    d = draw(st.integers(1, 5))
+    return [[[draw(JSON_NUMBERS), draw(JSON_NUMBERS)] for _ in range(d)] for _ in range(d)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_matrices())
+def test_one_pass_parse_equals_the_cast_and_combine(obj):
+    # The parse used to be np.asarray, then re + 1j * im; == treats +0 and -0 alike.
+    arr = np.asarray(obj, dtype=float)
+    expected = arr[..., 0] + 1j * arr[..., 1]
+    got = states._matrix_from_json(obj, "matrix")
+    assert got.dtype == complex and got.shape == expected.shape
+    assert np.all(got == expected)
 
 
 @pytest.mark.parametrize("d", [0, -3, 2.0, 2.7, "2", True, None])

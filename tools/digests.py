@@ -15,9 +15,13 @@ the default 2 x 2.  The last
 line is ``classify`` over the 18 valid pair files of the benchmark
 (``VALID_KINDS`` of ``perfbench/workloads.py``), written in order by
 ``make_pair_file(np.random.default_rng(20221), kind)``, with their outputs
-concatenated.  Equal digests on two checkouts mean byte-identical
-output.  Run from anywhere; the package is imported from this checkout's
-``src``:
+concatenated.  The last line covers the reject path: ``classify`` over the
+five invalid pair files (``INVALID_KINDS``), made the same way, with each
+one's exit code and first stderr line concatenated and the temporary
+directory's name cut out.  Equal digests on two checkouts mean
+byte-identical output.  Run from anywhere; the package is imported from this
+checkout's ``src``, so running the script in each of two checkouts compares
+their ``src`` trees:
 
     python tools/digests.py
 """
@@ -39,6 +43,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from entrobound.cli import main as cli_main  # noqa: E402
+
+# run_path compiles the file without writing a bytecode cache next to it.
+WORKLOADS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
 
 SEED = "20221"
 COMMANDS = [
@@ -78,24 +85,36 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def classify_text() -> str:
-    # run_path compiles the file without writing a bytecode cache next to it.
-    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+def rejection_of(argv: list[str]) -> str:
+    """Exit code and first stderr line of a call that must fail."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    if code == 0:
+        raise SystemExit(f"{' '.join(argv)} exited 0")
+    return f"{code} {err.getvalue().splitlines()[0]}\n"
+
+
+def classify_text(kinds: list[str], run) -> str:
+    """``run(["classify", path])`` over a pair file of each kind, concatenated."""
     rng = np.random.default_rng(int(SEED))
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (kind, _) in enumerate(workloads["VALID_KINDS"]):
+        for i, kind in enumerate(kinds):
             path = os.path.join(tmp, f"pair{i:02d}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(workloads["make_pair_file"](rng, kind))
-            outputs.append(stdout_of(["classify", path]))
+                fh.write(WORKLOADS["make_pair_file"](rng, kind))
+            outputs.append(run(["classify", path]).replace(tmp, ""))
     return "".join(outputs)
 
 
 def main() -> int:
     for argv in COMMANDS:
         print(f"{' '.join(argv):<48} {digest(stdout_of(argv))}")
-    print(f"{'classify (18 valid pair files)':<48} {digest(classify_text())}")
+    valid = [kind for kind, _ in WORKLOADS["VALID_KINDS"]]
+    print(f"{'classify (18 valid pair files)':<48} {digest(classify_text(valid, stdout_of))}")
+    rejects = classify_text(WORKLOADS["INVALID_KINDS"], rejection_of)
+    print(f"{'classify (5 invalid pair files, rejections)':<48} {digest(rejects)}")
     return 0
 
 
