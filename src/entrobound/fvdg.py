@@ -25,10 +25,10 @@ from .errors import DimensionMismatchError, InvalidDeltaError, NotInvertibleErro
 from .metrics import (
     DistanceTriple,
     Rank1Measurement,
+    _triple_and_operands,
     check_basis,
     check_classical_pair,
     check_pair,
-    distance_triple,
 )
 from .states import ClassicalDist, DensityOperator
 
@@ -104,7 +104,7 @@ class SaturationReport:
             "class": self.pair_class.value,
             "invertible": self.invertible,
             "c": None if self.c_value is None else float(self.c_value),
-            "spectrum_m": [float(x) for x in self.spectrum_of_m],
+            "spectrum_m": self.spectrum_of_m.tolist(),
             "commutator_residual": float(self.commutator_residual),
             "lower_gap": float(self.lower_gap),
             "upper_gap": float(self.upper_gap),
@@ -257,19 +257,19 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
     pairs are classified from the gap residuals alone and flagged
     ``invertible=False`` with M omitted.
     """
-    triple = distance_triple(rho, sigma)
+    triple, product, diff = _triple_and_operands(rho, sigma)
     lower_gap, upper_gap = triple.fvdg_gaps()
-    diff = rho.matrix - sigma.matrix
-    diff_norm = float(np.max(np.abs(diff)))
+    diff_norm = float(np.abs(diff).max())
     invertible = rho.is_invertible() and sigma.is_invertible()
 
     m, spectrum, residual, c_value = None, linalg.frozen(np.array([])), 0.0, None
     if invertible:
-        m = linalg.m_from_spectrum(rho.spectrum, sigma.matrix)
+        # F's solve already formed sqrt(rho) sigma sqrt(rho), the root inside M.
+        m = linalg.m_from_product(rho.spectrum, product)
         spectrum = linalg.frozen(np.linalg.eigvalsh(m))
         commutator = m @ diff - diff @ m
-        scale = float(np.max(np.abs(m))) * diff_norm
-        residual = float(np.max(np.abs(commutator))) / scale if scale > 0.0 else 0.0
+        scale = float(np.abs(m).max()) * diff_norm
+        residual = float(np.abs(commutator).max()) / scale if scale > 0.0 else 0.0
 
     if diff_norm <= EQUAL_TOL:
         cls = PairClass.EQUAL

@@ -67,8 +67,8 @@ def as_hermitian(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise OutOfRangeError("matrix has a NaN or infinite entry")
     m_h = m.conj().T
-    residual = float(np.max(np.abs(m - m_h)))
-    scale = max(float(np.max(np.abs(m))), 1.0)
+    residual = float(np.abs(m - m_h).max())
+    scale = max(float(np.abs(m).max()), 1.0)
     if residual > HERMITICITY_TOL * scale:
         raise NonHermitianError(
             f"symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL * scale:.3e}"
@@ -87,7 +87,12 @@ def symmetrized(m: np.ndarray, m_h: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix; eigenvalues ascending, V unitary."""
+    """Eigensystem of a Hermitian matrix; eigenvalues ascending, V unitary.
+
+    The order is relied on: :meth:`is_invertible` reads the ends of the
+    spectrum, so every builder (``decompose``, the densities' clamped copies,
+    the samplers, ``geometric_mean``'s inverse) keeps it ascending.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -102,9 +107,13 @@ class SpectralDecomposition:
         return (v * fn(self.eigenvalues)) @ v.conj().T
 
     def is_invertible(self) -> bool:
-        """Min eigenvalue above ``INVERTIBILITY_TOL`` times a positive max."""
-        top = float(np.max(self.eigenvalues))
-        return top > 0.0 and float(np.min(self.eigenvalues)) > INVERTIBILITY_TOL * top
+        """Min eigenvalue above ``INVERTIBILITY_TOL`` times a positive max.
+
+        Both are read off the ends of the ascending spectrum.
+        """
+        w = self.eigenvalues
+        top = float(w[-1])
+        return top > 0.0 and float(w[0]) > INVERTIBILITY_TOL * top
 
 
 def decompose(h: np.ndarray) -> SpectralDecomposition:
@@ -130,6 +139,9 @@ def eig_hermitian(m) -> SpectralDecomposition:
 def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues in ``[-PSD_CLAMP_TOL * max(1, max|w|), 0)`` to zero.
 
+    ``w`` must be ascending, as ``eigh`` returns it: the least eigenvalue is
+    read as ``w[0]``.
+
     The window scales with the spectrum like the Hermiticity check in
     ``as_hermitian``, so rounding of a matrix with large entries is not
     mistaken for a negative eigenvalue; for density spectra (``|w| <= 1``) it
@@ -143,7 +155,7 @@ def clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     call it; nor does the family's sigma (``experiments._family_sigma``),
     whose eigenvalues ``lam/d + (1 - lam) w`` mix rho's clamped ``w``.
     """
-    lo = float(np.min(w))
+    lo = float(w[0])
     if lo < -PSD_CLAMP_TOL:  # the window is never narrower, so valid spectra skip the scale
         window = PSD_CLAMP_TOL * max(1.0, float(np.max(np.abs(w))))
         if lo < -window:
@@ -184,8 +196,18 @@ def m_from_spectrum(rho: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray
     to 3.5e-4).
     """
     r_half = rho.apply(np.sqrt)
+    return m_from_product(rho, r_half @ sigma @ r_half)
+
+
+def m_from_product(rho: SpectralDecomposition, product: np.ndarray) -> np.ndarray:
+    """:func:`m_from_spectrum`'s tail, given ``product = rho^{1/2} sigma rho^{1/2}``.
+
+    ``product`` is taken as formed, unsymmetrized, so a caller that already
+    holds it (``fvdg.classify_pair``, from ``metrics``' fidelity solve) gets
+    the ``M`` that ``m_from_spectrum`` gives, bit for bit.
+    """
     r_inv_half = rho.apply(lambda w: 1.0 / np.sqrt(w))
-    mid = _psd_sqrt(symmetrized(r_half @ sigma @ r_half))
+    mid = _psd_sqrt(symmetrized(product))
     return symmetrized(r_inv_half @ mid @ r_inv_half)
 
 

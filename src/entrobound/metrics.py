@@ -7,6 +7,7 @@ The two are tied by ``1 - F <= T <= sqrt(1 - F^2)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class DistanceTriple:
     def fvdg_gaps(self) -> tuple[float, float]:
         """``(T - (1 - F), sqrt(1 - F^2) - T)``, the Fuchs-van de Graaf slacks."""
         # ``fidelity`` clips F to [0, 1], so the root's argument is >= 0.
-        upper = float(np.sqrt(1.0 - self.fidelity**2))
+        upper = math.sqrt(1.0 - self.fidelity**2)
         return self.trace_distance - (1.0 - self.fidelity), upper - self.trace_distance
 
 
@@ -132,11 +133,24 @@ def distance_triple(rho: DensityOperator, sigma: DensityOperator) -> DistanceTri
     numpy's stacked ``eigvalsh`` gives each matrix the spectrum that a call
     on it alone gives, so F and T equal ``fidelity`` and ``trace_distance``.
     """
+    return _triple_and_operands(rho, sigma)[0]
+
+
+def _triple_and_operands(
+    rho: DensityOperator, sigma: DensityOperator
+) -> tuple[DistanceTriple, np.ndarray, np.ndarray]:
+    """:func:`distance_triple`, and the two matrices it solved.
+
+    They are ``sqrt(rho) sigma sqrt(rho)``, unsymmetrized, and
+    ``rho - sigma``, for callers that need them again.
+    """
     check_pair(rho, sigma)
     sq = rho.spectrum.apply(np.sqrt)
-    w = np.linalg.eigvalsh(np.stack([sq @ sigma.matrix @ sq, rho.matrix - sigma.matrix]))
+    operands = np.stack([sq @ sigma.matrix @ sq, rho.matrix - sigma.matrix])
+    w = np.linalg.eigvalsh(operands)
     f = float(_fidelity_from_spectrum_rows(w[0]))
-    return DistanceTriple(float(_trace_distance_rows(w[1])), f, float(np.arccos(f)))
+    triple = DistanceTriple(float(_trace_distance_rows(w[1])), f, float(np.arccos(f)))
+    return triple, operands[0], operands[1]
 
 
 def classical_trace_distance(p: ClassicalDist, q: ClassicalDist) -> float:

@@ -92,7 +92,9 @@ def _density_of(h: np.ndarray) -> DensityOperator:
     dec = linalg.decompose(h)
     w = linalg.clamped_psd_eigenvalues(dec.eigenvalues)
     trace = float(np.sum(dec.eigenvalues))
-    if abs(trace - 1.0) > TRACE_TOL:
+    # Finite entries can overflow to inf when symmetrized, and leave a NaN
+    # trace, which `>` would let through.
+    if not abs(trace - 1.0) <= TRACE_TOL:
         raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL:.0e}")
     return DensityOperator(h, linalg.SpectralDecomposition(w, dec.eigenvectors))
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_invertible_density, rand_pure_density
+from oracles import u_oracle
 
 from entrobound.experiments import counterexample_scan, family_closed_form, family_pair
 from entrobound.entropy import (
@@ -47,13 +48,6 @@ from entrobound.states import make_density, qc_embed, sqrt_vector
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def _mp_u(d: int):
-    """``u(d)`` at the working mpmath precision, from its own root ``x0``."""
-    x0 = mpmath.findroot(lambda x: mpmath.log(x) - 2 * (1 - 1 / x), 4.9)
-    f = 2 * mpmath.log(x0) / x0 * (d - 1) if d <= x0 else mpmath.log(d) ** 2
-    return 2 * mpmath.sqrt(f)
 
 
 def test_criterion_1_counterexample_numbers():
@@ -179,7 +173,7 @@ def test_criterion_4_small_angle_supremum_is_below_its_threshold():
         t_star = mpmath.findroot(lambda t: mpmath.diff(g, t), 0.083)
         peak = g(t_star)
         assert all(g(mpmath.mpf(i) / 1000) <= peak for i in range(1, 1000))
-        sup = 2 * mpmath.sqrt(peak) / _mp_u(2)
+        sup = 2 * mpmath.sqrt(peak) / u_oracle(2)
     assert abs(t_star - mpmath.mpf("0.0832217201995")) < 1e-12
     assert 0.8235 <= sup < 0.8236
     assert sup < 0.9
@@ -231,7 +225,7 @@ def test_scan_qubit_row_matches_50_digit_values():
     row = dict(zip(header, next(r for r in rows if r[:2] == (2, 2))))
 
     with mpmath.workdps(50):
-        u2 = _mp_u(2)
+        u2 = u_oracle(2)
 
         # At d_A = d_B = 2 the family's closed form reduces to
         # |dH| = -(1 - 3l/4) ln(1 - 3l/4) - (3l/4) ln(l/4), A = acos sqrt(1 - 3l/4).
@@ -371,7 +365,7 @@ def test_criterion_9_small_t_dominance():
 
 def test_criterion_9_holds_with_the_sqrt2_conversion_factor():
     with mpmath.workdps(50):
-        margins = {d: mpmath.sqrt(2) * _mp_u(d) - (mpmath.log(d - 1) + 2) for d in range(2, 65)}
+        margins = {d: mpmath.sqrt(2) * u_oracle(d) - (mpmath.log(d - 1) + 2) for d in range(2, 65)}
     assert min(margins, key=margins.get) == 2
     assert abs(margins[2] - mpmath.mpf("0.276155")) < 1e-6
     assert all(math.log(d - 1) + 2.0 <= math.sqrt(2.0) * lipschitz_u(d) for d in range(2, 65))
@@ -379,7 +373,7 @@ def test_criterion_9_holds_with_the_sqrt2_conversion_factor():
 
 def test_lipschitz_u_matches_50_digit_values():
     with mpmath.workdps(50):
-        exact = {d: _mp_u(d) for d in range(1, 65)}
+        exact = {d: u_oracle(d) for d in range(1, 65)}
     assert all(abs(lipschitz_u(d) - u) <= 1e-15 * u for d, u in exact.items())
 
 

@@ -10,6 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    conditional_entropy_oracle,
+    family_oracle,
+    mp_embedding,
+    mp_matrix,
+    quantum_fidelity_oracle,
+)
+
 from entrobound import cli, experiments, linalg, states
 from entrobound.cli import render_csv
 from entrobound.entropy import classical_conditional_entropy, conditional_entropy, lipschitz_u
@@ -464,43 +472,6 @@ class TestQcPairMetricsEdgeFamilies:
                     assert abs(dense_metrics(left, right)[0] - exact) <= 3e-8
 
 
-def mp_matrix(m):
-    return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in m])
-
-
-def mp_embedding(state):
-    """The embedding of a QC state at the working precision, from its blocks."""
-    d_a, d_b = state.dim_a, state.dim_b
-    out = mpmath.zeros(d_a * d_b, d_a * d_b)
-    for k, (weight, block) in enumerate(state.blocks):
-        for i, row in enumerate(block.matrix):
-            for j, z in enumerate(row):
-                out[k * d_a + i, k * d_a + j] = mpmath.mpf(weight) * mpmath.mpc(complex(z))
-    return out
-
-
-def mp_entropy(h):
-    return -mpmath.fsum(x * mpmath.log(x) for x in mpmath.eighe(h, eigvals_only=True) if x > 0)
-
-
-def conditional_entropy_oracle(h, d_a, d_b):
-    marginal = mpmath.matrix(d_b, d_b)
-    for k in range(d_b):
-        for l in range(d_b):
-            marginal[k, l] = mpmath.fsum(h[k * d_a + j, l * d_a + j] for j in range(d_a))
-    return mp_entropy(h) - mp_entropy(marginal)
-
-
-def fidelity_oracle(rho, sigma):
-    """``sum sqrt(mu)`` over the spectrum of ``sqrt(rho) sigma sqrt(rho)``, in [0, 1]."""
-    w, v = mpmath.eighe(rho)
-    d = rho.rows
-    sq = v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * v.transpose_conj()
-    product = sq * sigma * sq
-    product = (product + product.transpose_conj()) / 2
-    return min(mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in mpmath.eighe(product, eigvals_only=True)), 1)
-
-
 # d_A d_B <= 4.  Fixed before the run; the measured worst cases are in README.
 QUANTUM_ORACLE_SHAPES = [(1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
 QUANTUM_ENTROPY_ORACLE_TOL = 5e-14
@@ -520,7 +491,7 @@ class TestQuantumRoutesAgainst50Digits:
                 exact_rho, exact_sigma = mp_matrix(rho.matrix), mp_matrix(sigma.matrix)
                 exact = conditional_entropy_oracle(exact_rho, d_a, d_b)
                 assert abs(conditional_entropy(rho, d_a, d_b) - exact) <= QUANTUM_ENTROPY_ORACLE_TOL
-                exact = fidelity_oracle(exact_rho, exact_sigma)
+                exact = quantum_fidelity_oracle(exact_rho, exact_sigma)
                 assert abs(fidelity(rho, sigma) - exact) <= QUANTUM_FIDELITY_ORACLE_TOL
 
     @pytest.mark.parametrize("d_a, d_b", QUANTUM_ORACLE_SHAPES)
@@ -534,28 +505,7 @@ class TestQuantumRoutesAgainst50Digits:
                 exact_diff = abs(conditional_entropy_oracle(exact_rho, d_a, d_b)
                                  - conditional_entropy_oracle(exact_sigma, d_a, d_b))
                 assert abs(diff - exact_diff) <= QUANTUM_ENTROPY_ORACLE_TOL
-                assert abs(f - fidelity_oracle(exact_rho, exact_sigma)) <= QUANTUM_FIDELITY_ORACLE_TOL
-
-
-def family_oracle(d_a, d_b, lam):
-    """Angle and |dH| of the family at the working mpmath precision.
-
-    Built from the spectra, not from ``family_closed_form``: rho is the pure
-    |psi><psi|, so F = sqrt(<psi|sigma|psi>) and H(A|B)_rho = -ln min(d_A, d_B);
-    sigma has <psi|sigma|psi> once and lam/d on the rest, and sigma_B is
-    lam/d_B + (1 - lam)/d_m on the d_m levels of rho_B and lam/d_B elsewhere.
-    """
-    lam = mpmath.mpf(lam)
-    d, d_m = d_a * d_b, min(d_a, d_b)
-    overlap = 1 - lam + lam / d
-    joint = [overlap] + [lam / d] * (d - 1)
-    marginal = [lam / d_b + (1 - lam) / d_m] * d_m + [lam / d_b] * (d_b - d_m)
-
-    def entropy(probs):
-        return -mpmath.fsum(p * mpmath.log(p) for p in probs if p > 0)
-
-    diff = entropy(joint) - entropy(marginal) + mpmath.log(d_m)
-    return mpmath.acos(mpmath.sqrt(overlap)), abs(diff)
+                assert abs(f - quantum_fidelity_oracle(exact_rho, exact_sigma)) <= QUANTUM_FIDELITY_ORACLE_TOL
 
 
 ORACLE_SHAPES = [(d, d) for d in range(2, 11)] + [(3, 2), (2, 4), (1, 3)]
@@ -852,6 +802,35 @@ class TestMain:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(blob))
         assert cli.main(["classify", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "kind, matrix",
+        [
+            ("dense", [[0.5, 1e308], [1e308, 0.5]]),
+            ("dense", [[1e308, 1e308], [1e308, 1e308]]),
+            ("qc", [[1e308, 1e308], [1e308, 1e308]]),
+        ],
+    )
+    def test_classify_entries_that_overflow_when_symmetrized_exit_2(
+        self, tmp_path, capsys, kind, matrix
+    ):
+        # Finite entries pass the boundary, but (m + m†)/2 overflows to inf
+        # and leaves a NaN trace; the file used to print NaN gaps and exit 0.
+        blob = dense_pair_blob() if kind == "dense" else qc_pair_blob()
+        entries = [[[z, 0.0] for z in row] for row in matrix]
+        if kind == "dense":
+            blob["rho"]["matrix"] = entries
+        else:
+            blob["rho"]["blocks"][0]["matrix"] = entries
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(blob))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: invalid {kind!r} state: trace nan differs from 1 beyond 1e-09\n"
+        )
 
     @pytest.mark.parametrize(
         "mutate, message",

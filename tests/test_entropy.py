@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import classical_fidelity_oracle, entropy_oracle
+
 from entrobound.entropy import (
     LIPSCHITZ,
     _entropy_of_probabilities,
@@ -374,23 +376,6 @@ def oracle_distributions(d, seed):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def entropy_oracle(p, d_a, d_b):
-    """``H(A|B)`` of the float entries of ``p`` at the working mpmath precision."""
-
-    def entropy(values):
-        return -mpmath.fsum(x * mpmath.log(x) for x in values if x > 0)
-
-    exact = [mpmath.mpf(float(x)) for x in p]
-    blocks = [mpmath.fsum(exact[k * d_a:(k + 1) * d_a]) for k in range(d_b)]
-    return entropy(exact) - entropy(blocks)
-
-
-def fidelity_oracle(p, q):
-    exact = mpmath.fsum(mpmath.sqrt(mpmath.mpf(float(a)) * mpmath.mpf(float(b)))
-                        for a, b in zip(p, q))
-    return min(exact, 1)
-
-
 class TestClassicalKernelsAgainst50Digits:
     """``classical_conditional_entropy`` and ``classical_fidelity``, single and
     stacked, against a 50-digit evaluation of the same float inputs."""
@@ -415,7 +400,7 @@ class TestClassicalKernelsAgainst50Digits:
         stacked = _classical_fidelity_rows(p, q)
         with mpmath.workdps(50):
             for a, b, value in zip(p, q, stacked):
-                exact = fidelity_oracle(a, b)
+                exact = classical_fidelity_oracle(a, b)
                 single = classical_fidelity(make_classical(a), make_classical(b))
                 assert abs(single - exact) <= FIDELITY_ORACLE_TOL
                 assert abs(value - exact) <= FIDELITY_ORACLE_TOL

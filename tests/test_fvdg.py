@@ -28,13 +28,14 @@ from entrobound.fvdg import (
 from entrobound.metrics import (
     classical_fidelity,
     classical_trace_distance,
+    distance_triple,
     fidelity,
     make_measurement,
     measure,
     trace_distance,
 )
 from entrobound.sampling import RngHandle, sample_density, sample_haar_unitary, sample_simplex
-from entrobound.states import make_classical, make_density
+from entrobound.states import make_classical, make_density, make_qc_state, qc_embed
 
 
 def diag_density(*probs):
@@ -357,6 +358,36 @@ class TestClassifyPair:
                 sigma = rand_invertible_density(rng, d)
                 report = classify_pair(rho, sigma)
                 assert np.array_equal(report.m, linalg.m_operator(rho.matrix, sigma.matrix))
+
+    @pytest.mark.parametrize("kind", ["dense", "qc", "pure", "equal", "upper"])
+    def test_shared_product_changes_no_value(self, kind):
+        # classify_pair reuses the fidelity solve's sqrt(rho) sigma sqrt(rho)
+        # and rho - sigma; M and the distances stay those of the own routes.
+        rng = RngHandle(73)
+        if kind == "dense":
+            rho, sigma = rand_invertible_density(rng, 4), rand_invertible_density(rng, 4)
+        elif kind == "qc":
+            rho, sigma = (
+                qc_embed(make_qc_state([(w, rand_invertible_density(rng, 2)) for w in (0.3, 0.7)]))
+                for _ in range(2)
+            )
+        elif kind == "pure":
+            rho, sigma = rand_pure_density(rng, 3)[0], rand_pure_density(rng, 3)[0]
+        elif kind == "equal":
+            rho = sigma = rand_invertible_density(rng, 3)
+        else:
+            rho, sigma = swap_family(0.25)
+        report = classify_pair(rho, sigma)
+        triple = distance_triple(rho, sigma)
+        for field in ("trace_distance", "fidelity", "angular"):
+            assert getattr(report.distances, field) == getattr(triple, field)
+        if kind == "pure":
+            assert report.m is None
+        else:
+            assert np.array_equal(report.m, linalg.m_operator(rho.matrix, sigma.matrix))
+        expected = {"equal": PairClass.EQUAL, "upper": PairClass.UPPER_SATURATED}
+        if kind in expected:
+            assert report.pair_class is expected[kind]
 
     @pytest.mark.parametrize("b", [0.1, 0.25, 0.7])
     def test_swap_family(self, b):

@@ -1,11 +1,13 @@
-import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import rand_hermitian, rand_positive_definite
+from oracles import m_oracle
 
-from entrobound import linalg
+from entrobound import experiments, linalg
 from entrobound.errors import (
     DimensionMismatchError,
     InvalidDeltaError,
@@ -14,6 +16,8 @@ from entrobound.errors import (
     NotInvertibleError,
 )
 from entrobound.linalg import (
+    INVERTIBILITY_TOL,
+    decompose,
     eig_hermitian,
     geometric_mean,
     m_operator,
@@ -21,7 +25,8 @@ from entrobound.linalg import (
     mat_sqrt,
     positive_negative_parts,
 )
-from entrobound.sampling import RngHandle
+from entrobound.sampling import RngHandle, sample_density, sample_haar_unitary, sample_simplex
+from entrobound.states import make_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -261,23 +266,6 @@ def mixed_pairs(seed, per_cell=2):
                 yield density(d, delta), density(d, delta)
 
 
-def m_oracle(rho, sigma):
-    """``rho^{-1/2} (rho^{1/2} sigma rho^{1/2})^{1/2} rho^{-1/2}`` at 60 digits
-    on the same float matrices."""
-    with mpmath.workdps(60):
-        r, s = (mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
-                for a in (rho, sigma))
-
-        def apply(h, fn):
-            w, v = mpmath.eighe(h)
-            return v * mpmath.diag([fn(x) for x in w]) * v.transpose_conj()
-
-        product = apply(r, mpmath.sqrt) * s * apply(r, mpmath.sqrt)
-        inv_half = apply(r, lambda x: 1 / mpmath.sqrt(x))
-        m = inv_half * apply((product + product.transpose_conj()) / 2, mpmath.sqrt) * inv_half
-        return np.array(m.tolist(), dtype=complex)
-
-
 def condition(h):
     w = np.linalg.eigvalsh(h)
     return w[-1] / w[0]
@@ -359,3 +347,38 @@ def test_commuting_diagonal_scalar_equivalence():
     assert_allclose(np.diag(q), np.maximum(-np.diag(a - b), 0.0), atol=1e-12)
     dec = eig_hermitian(a)
     assert_allclose(dec.eigenvalues, np.sort(np.diag(a)), atol=1e-12)
+
+
+def package_spectra(source, seed, d, zeros, lam):
+    """Spectra as the package builds them, with ``zeros`` exact zeros where it can."""
+    rng = RngHandle(seed)
+    probs = np.zeros(d)
+    live = max(d - zeros, 1)
+    probs[:live] = sample_simplex(rng, live).probs
+    rng.generator.shuffle(probs)
+    u = sample_haar_unitary(rng, d)
+    if source == "decompose":
+        return [decompose(rand_hermitian(rng, d)), decompose(np.diag(probs).astype(complex))]
+    if source == "make_density":
+        return [make_density((u * probs) @ u.conj().T).spectrum, make_density(np.diag(probs)).spectrum]
+    if source == "sample_density":
+        return [sample_density(rng, d).spectrum]
+    rho = make_density(np.diag(probs))
+    return [experiments._family_sigma(rho, lam).spectrum]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    source=st.sampled_from(["decompose", "make_density", "sample_density", "_family_sigma"]),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    zeros=st.integers(0, 6),
+    lam=st.sampled_from([0.0, 1e-13, 0.5, 1.0]),
+)
+def test_is_invertible_reads_the_ends_of_the_ascending_spectrum(source, seed, d, zeros, lam):
+    for dec in package_spectra(source, seed, d, zeros, lam):
+        w = dec.eigenvalues
+        assert np.all(np.diff(w) >= 0.0)
+        top = float(np.max(w))
+        expected = top > 0.0 and float(np.min(w)) > INVERTIBILITY_TOL * top
+        assert dec.is_invertible() == expected

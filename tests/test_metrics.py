@@ -11,6 +11,7 @@ from conftest import rand_invertible_density, rand_pure_density
 from entrobound import states
 from entrobound.errors import DimensionMismatchError, NotOrthonormalError
 from entrobound.metrics import (
+    _fidelity_from_spectrum_rows,
     angular_distance,
     check_classical_pair,
     classical_fidelity,
@@ -60,6 +61,13 @@ class TestFidelity:
     def test_classical_diagonal(self):
         got = fidelity(diag_density(0.7, 0.3), diag_density(0.4, 0.6))
         assert got == pytest.approx(np.sqrt(0.28) + np.sqrt(0.18), abs=1e-12)
+
+    def test_row_floor_is_relative_to_the_row_maximum(self):
+        # fig1 concatenates its block spectra, so a row ascends only within
+        # each block and its last entry need not be its top.  A floor taken
+        # from the last entry would keep the 4e-16 and give 0.5 + 2e-8.
+        row = np.array([[0.0, 0.25, 0.0, 4e-16]])
+        assert _fidelity_from_spectrum_rows(row)[0] == 0.5
 
 
 class TestAngularDistance:

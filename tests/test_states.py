@@ -72,6 +72,16 @@ class TestMakeDensity:
         with pytest.raises(OutOfRangeError):
             make_density(m)
 
+    @pytest.mark.parametrize(
+        "m", [[[0.5, 1e308], [1e308, 0.5]], [[1e308, 1e308], [1e308, 1e308]]]
+    )
+    def test_rejects_finite_entries_that_overflow_when_symmetrized(self, m):
+        # (m + m†)/2 overflows to inf, so eigh gives NaN eigenvalues and the
+        # trace is NaN, which `abs(trace - 1) > TRACE_TOL` would let through.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TraceNotOneError, match="trace nan differs from 1"):
+                make_density(m)
+
     def test_trusted_constructor_keeps_psd_check(self):
         with pytest.raises(NegativeEigenvalueError):
             trusted_density(np.diag([1.1, -0.1]))
