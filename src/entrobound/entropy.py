@@ -93,23 +93,14 @@ def lipschitz_u(d: int) -> float:
 def _entropy_of_probabilities(w: np.ndarray) -> float | np.ndarray:
     """``-sum w ln w`` along the last axis, with 0 ln 0 = 0.
 
-    A 1-D ``w`` gives a float, a stack ``(..., n)`` an array of row entropies.
-    Zero entries are left out of the sum, not added as 0: numpy's pairwise sum
-    groups terms by position, so a zero term would move the rounding.  A row
-    with any zero entry is therefore summed on its own, over its positive
-    entries only, and ln 0 is never evaluated.
+    A 1-D ``w`` gives a float, a stack ``(..., n)`` an array of row entropies,
+    each bit for bit the 1-D value of its row.  A zero entry adds an exact
+    ``0 ln 1 = 0`` term, so ln 0 is never evaluated.
     """
     # Every caller passes entries >= 0: stored spectra and probabilities are
     # clamped where they are built.
-    if w.ndim == 1:
-        nz = w[w > 0.0]
-        return float(-np.sum(nz * np.log(nz)))
-    full = (w > 0.0).all(axis=-1)
-    out = np.empty(w.shape[:-1])
-    rows = w[full]
-    out[full] = -np.sum(rows * np.log(rows), axis=-1)
-    out[~full] = [_entropy_of_probabilities(row) for row in w[~full]]
-    return out
+    h = -np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=-1)
+    return float(h) if w.ndim == 1 else h
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -31,7 +31,7 @@ from .entropy import (
     winter_bound,
 )
 from .errors import OutOfRangeError
-from .linalg import SpectralDecomposition, frozen, symmetrized
+from .linalg import SpectralDecomposition, frozen, root_product, symmetrized
 from .metrics import _classical_fidelity_rows, _fidelity_from_spectrum_rows, angular_distance
 from .sampling import RngHandle, check_sampler_angle, sample_classical_pair_at_angle, sample_qc_pair
 from .states import DensityOperator, QCState, check_dimension, trusted_density
@@ -138,8 +138,7 @@ def fig1_scatter(d_a: int, d_b: int, n_samples: int, seed: int) -> Table:
     ``sample_qc_pair`` and evaluated on their blocks by ``_qc_pair_metrics``,
     in chunks whose block stack holds at most ``FIG1_CHUNK_ELEMENTS`` entries.
     """
-    if n_samples < 1:
-        raise OutOfRangeError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = check_dimension(n_samples, 1, "n_samples")
     rng = RngHandle(seed)
     u = lipschitz_u(d_a)
     cap = math.log(d_a)
@@ -163,23 +162,25 @@ def _qc_pair_metrics(pairs: list[tuple[QCState, QCState]]) -> tuple[np.ndarray, 
     the stored spectra ``w_k`` of the blocks, so both conditional entropies
     are ``_hc_raw`` of those rows.  ``sqrt(rho) sigma sqrt(rho)`` is block
     diagonal with blocks ``alpha_k beta_k sqrt(rho_k) sigma_k sqrt(rho_k)``:
-    one stacked ``eigvalsh`` gives the spectra of all pairs, which
+    one stacked ``root_product`` on the blocks' stored eigensystems forms
+    them, and one stacked ``eigvalsh`` gives the spectra of all pairs, which
     ``fidelity``'s row kernel floors against each pair's top and sums.
     """
     d_a, d_b = pairs[0][0].dim_a, pairs[0][0].dim_b
     n = len(pairs)
     weights = np.empty((2, n, d_b, 1))
     spectra = np.empty((2, n, d_b, d_a))
-    roots = np.empty((n, d_b, d_a, d_a), dtype=complex)
+    vectors = np.empty((n, d_b, d_a, d_a), dtype=complex)
     sigmas = np.empty((n, d_b, d_a, d_a), dtype=complex)
     for i, (rho, sigma) in enumerate(pairs):
         for k, ((alpha, rho_k), (beta, sigma_k)) in enumerate(zip(rho.blocks, sigma.blocks)):
             weights[:, i, k, 0] = alpha, beta
             spectra[:, i, k] = rho_k.eigenvalues, sigma_k.eigenvalues
-            roots[i, k] = rho_k.spectrum.apply(np.sqrt)
+            vectors[i, k] = rho_k.spectrum.eigenvectors
             sigmas[i, k] = sigma_k.matrix
     entropies = _hc_raw((weights * spectra).reshape(2, n, d_b * d_a), d_a, d_b)
-    products = np.linalg.eigvalsh(roots @ sigmas @ roots) * (weights[0] * weights[1])
+    blocks = root_product(SpectralDecomposition(spectra[0], vectors), sigmas)
+    products = np.linalg.eigvalsh(blocks) * (weights[0] * weights[1])
     fidelities = _fidelity_from_spectrum_rows(products.reshape(n, d_b * d_a))
     return fidelities, np.abs(entropies[0] - entropies[1])
 
@@ -197,8 +198,7 @@ def fig2_fixed_angle(
     are then evaluated on all rows at once, with the arithmetic of
     ``classical_fidelity`` and ``classical_conditional_entropy``.
     """
-    if n_samples < 1:
-        raise OutOfRangeError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = check_dimension(n_samples, 1, "n_samples")
     angles = sorted(angles) if angles else [i * 1e-6 for i in range(1, 11)]
     for angle in angles:
         check_sampler_angle(angle)

@@ -39,6 +39,9 @@ HERMITICITY_TOL = 1e-10
 PSD_CLAMP_TOL = 1e-10
 # Invertibility requires min eigenvalue > INVERTIBILITY_TOL * max eigenvalue.
 INVERTIBILITY_TOL = 1e-12
+# Largest entry modulus a matrix may have: up to half the largest float,
+# neither m - m† nor (m + m†)/2 can overflow to inf.
+MAX_ENTRY = np.finfo(float).max / 2
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -58,7 +61,8 @@ def as_hermitian(m) -> np.ndarray:
     arrays built inside from validated ones are only symmetrized.
     Symmetrizing absorbs rounding noise from upstream arithmetic; a symmetry
     residual beyond ``HERMITICITY_TOL`` (relative to the largest entry) is a
-    genuinely non-Hermitian input and is rejected, as is any NaN or inf.
+    genuinely non-Hermitian input and is rejected, as is any NaN or inf, and
+    any entry of modulus above ``MAX_ENTRY``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -66,9 +70,12 @@ def as_hermitian(m) -> np.ndarray:
     # A NaN residual compares false and would pass the test below.
     if not np.isfinite(m).all():
         raise OutOfRangeError("matrix has a NaN or infinite entry")
+    largest = float(np.abs(m).max())
+    if largest > MAX_ENTRY:
+        raise OutOfRangeError(f"matrix entry of modulus {largest:.3e} exceeds {MAX_ENTRY:.3e}")
     m_h = m.conj().T
     residual = float(np.abs(m - m_h).max())
-    scale = max(float(np.abs(m).max()), 1.0)
+    scale = max(largest, 1.0)
     if residual > HERMITICITY_TOL * scale:
         raise NonHermitianError(
             f"symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL * scale:.3e}"
@@ -102,9 +109,13 @@ class SpectralDecomposition:
         return self.apply(lambda w: w)
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """``V diag(fn(w)) V†`` for a scalar function of the eigenvalues."""
+        """``V diag(fn(w)) V†`` for a scalar function of the eigenvalues.
+
+        The package's one ``V f(w) V†``.  It broadcasts over leading axes, so
+        a stack of eigensystems gives, bit for bit, the matrix of each one.
+        """
         v = self.eigenvectors
-        return (v * fn(self.eigenvalues)) @ v.conj().T
+        return (v * fn(self.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     def is_invertible(self) -> bool:
         """Min eigenvalue above ``INVERTIBILITY_TOL`` times a positive max.
@@ -195,8 +206,19 @@ def m_from_spectrum(rho: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray
     mixed toward I/d at delta = 1e-1..1e-6 (kappa up to about 7e6, errors up
     to 3.5e-4).
     """
-    r_half = rho.apply(np.sqrt)
-    return m_from_product(rho, r_half @ sigma @ r_half)
+    return m_from_product(rho, root_product(rho, sigma))
+
+
+def root_product(a: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
+    """The one ``A^{1/2} sigma A^{1/2}``, from ``A``'s stored eigensystem.
+
+    Left unsymmetrized, as formed.  Broadcasts over leading axes like
+    :meth:`SpectralDecomposition.apply`, so a stack of eigensystems and
+    matrices gives, bit for bit, the product of each pair.  ``a``'s
+    eigenvalues must be >= 0.
+    """
+    root = a.apply(np.sqrt)
+    return root @ sigma @ root
 
 
 def m_from_product(rho: SpectralDecomposition, product: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotOrthonormalError
-from .linalg import frozen
+from .linalg import frozen, root_product
 from .states import ClassicalDist, DensityOperator, trusted_classical
 
 __all__ = [
@@ -107,8 +107,8 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     square root would otherwise inject ~1e-8 per spurious eigenvalue.
     """
     check_pair(rho, sigma)
-    sq = rho.spectrum.apply(np.sqrt)
-    return float(_fidelity_from_spectrum_rows(np.linalg.eigvalsh(sq @ sigma.matrix @ sq)))
+    product = root_product(rho.spectrum, sigma.matrix)
+    return float(_fidelity_from_spectrum_rows(np.linalg.eigvalsh(product)))
 
 
 def _fidelity_from_spectrum_rows(w: np.ndarray) -> np.ndarray:
@@ -145,8 +145,7 @@ def _triple_and_operands(
     ``rho - sigma``, for callers that need them again.
     """
     check_pair(rho, sigma)
-    sq = rho.spectrum.apply(np.sqrt)
-    operands = np.stack([sq @ sigma.matrix @ sq, rho.matrix - sigma.matrix])
+    operands = np.stack([root_product(rho.spectrum, sigma.matrix), rho.matrix - sigma.matrix])
     w = np.linalg.eigvalsh(operands)
     f = float(_fidelity_from_spectrum_rows(w[0]))
     triple = DistanceTriple(float(_trace_distance_rows(w[1])), f, float(np.arccos(f)))
@@ -155,7 +154,7 @@ def _triple_and_operands(
 
 def classical_trace_distance(p: ClassicalDist, q: ClassicalDist) -> float:
     check_classical_pair(p, q)
-    return float(np.clip(0.5 * np.sum(np.abs(p.probs - q.probs)), 0.0, 1.0))
+    return float(_trace_distance_rows(p.probs - q.probs))
 
 
 def classical_fidelity(p: ClassicalDist, q: ClassicalDist) -> float:

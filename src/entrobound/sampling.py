@@ -145,8 +145,7 @@ def sample_classical_pair_at_angle(
     """
     d = check_dimension(d, 2)
     check_sampler_angle(angle)
-    if max_rejects < 1:
-        raise OutOfRangeError(f"need max_rejects >= 1, got {max_rejects}")
+    max_rejects = check_dimension(max_rejects, 1, "max_rejects")
     gen = rng.generator
     for _ in range(max_rejects):
         r = gen.standard_normal(d)

@@ -35,13 +35,14 @@ WEIGHT_TOL = 1e-12
 QC_BLOCK_TOL = 1e-12
 
 
-def check_dimension(d, least: int = 1) -> int:
-    """The package's one check of an outside dimension: an integer >= ``least``.
+def check_dimension(d, least: int = 1, what: str = "dimension") -> int:
+    """The package's one check of an outside dimension or count: an integer >= ``least``.
 
-    Bools and floats (even integral ones such as 2.0) are rejected.
+    ``what`` names the value in the error.  Bools, floats (even integral ones
+    such as 2.0) and strings are rejected.
     """
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least:
-        raise OutOfRangeError(f"dimension must be an integer >= {least}, got {d!r}")
+        raise OutOfRangeError(f"{what} must be an integer >= {least}, got {d!r}")
     return int(d)
 
 
@@ -92,8 +93,8 @@ def _density_of(h: np.ndarray) -> DensityOperator:
     dec = linalg.decompose(h)
     w = linalg.clamped_psd_eigenvalues(dec.eigenvalues)
     trace = float(np.sum(dec.eigenvalues))
-    # Finite entries can overflow to inf when symmetrized, and leave a NaN
-    # trace, which `>` would let through.
+    # `as_hermitian` rejects entries large enough to overflow when
+    # symmetrized; a NaN trace would still fail here, where `>` would pass it.
     if not abs(trace - 1.0) <= TRACE_TOL:
         raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL:.0e}")
     return DensityOperator(h, linalg.SpectralDecomposition(w, dec.eigenvectors))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from entrobound import DensityOperator, make_density
@@ -36,3 +38,20 @@ def rand_pure_density(rng: RngHandle, d: int) -> tuple[DensityOperator, np.ndarr
     v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
     v /= np.linalg.norm(v)
     return make_density(np.outer(v, v.conj())), v
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name``, rebound in ``module`` and in every
+    package module that holds it, not only in its home."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for holder in [module] + [m for n, m in sys.modules.items() if n.startswith("entrobound")]:
+        for attr, value in list(vars(holder).items()):
+            if value is original:
+                monkeypatch.setattr(holder, attr, counting)
+    return calls

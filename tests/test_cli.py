@@ -1,7 +1,6 @@
 import argparse
 import json
 import math
-import sys
 from types import SimpleNamespace
 
 import mpmath
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_calls
 from oracles import (
     conditional_entropy_oracle,
     family_oracle,
@@ -308,23 +308,6 @@ def fig1_rows_by_dense_route(d_a, d_b, n_samples, seed):
     return rows
 
 
-def count_calls(monkeypatch, module, name):
-    """Count the calls of ``module.name``, rebound in ``module`` and in every
-    package module that holds it, not only in its home."""
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for holder in [module] + [m for n, m in sys.modules.items() if n.startswith("entrobound")]:
-        for attr, value in list(vars(holder).items()):
-            if value is original:
-                monkeypatch.setattr(holder, attr, counting)
-    return calls
-
-
 # Fixed before the run: fig1's rows against the dense route, 310 pairs.
 FIG1_ORACLE_TOL = 1e-13
 FIG1_ORACLE_CASES = [(2, 2, 100), (2, 16, 30), (3, 4, 60), (1, 3, 60), (4, 1, 60)]
@@ -353,9 +336,10 @@ class TestFig1BlockRoute:
         _, whole = fig1_scatter(3, 2, 40, SEED)
         monkeypatch.setattr(experiments, "FIG1_CHUNK_ELEMENTS", 3 * 2 * 3 * 3)
         solves = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        roots = count_calls(monkeypatch, linalg, "root_product")
         _, chunked = fig1_scatter(3, 2, 40, SEED)
         assert chunked == whole
-        assert len(solves) == 14  # 13 chunks of 3 pairs and one of 1
+        assert len(solves) == len(roots) == 14  # 13 chunks of 3 pairs and one of 1
 
 
 EDGE_FAMILIES = ("independent", "zero_weights", "rank_deficient", "equal", "near_orthogonal")
@@ -814,8 +798,9 @@ class TestMain:
     def test_classify_entries_that_overflow_when_symmetrized_exit_2(
         self, tmp_path, capsys, kind, matrix
     ):
-        # Finite entries pass the boundary, but (m + m†)/2 overflows to inf
-        # and leaves a NaN trace; the file used to print NaN gaps and exit 0.
+        # (m + m†)/2 of these finite entries would overflow to inf.  The
+        # boundary rejects them with no RuntimeWarning, which this suite turns
+        # into an error.
         blob = dense_pair_blob() if kind == "dense" else qc_pair_blob()
         entries = [[[z, 0.0] for z in row] for row in matrix]
         if kind == "dense":
@@ -824,12 +809,12 @@ class TestMain:
             blob["rho"]["blocks"][0]["matrix"] = entries
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(blob))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["classify", str(path)]) == 2
+        assert cli.main(["classify", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: invalid {kind!r} state: trace nan differs from 1 beyond 1e-09\n"
+            f"error: invalid {kind!r} state: matrix entry of modulus 1.000e+308 "
+            "exceeds 8.988e+307\n"
         )
 
     @pytest.mark.parametrize(
@@ -1071,6 +1056,12 @@ class TestConfigValidation:
             fig2_fixed_angle(2, 2, 1, SEED, angles=(0.0,))
         with pytest.raises(OutOfRangeError):
             fig1_scatter(0, 2, 1, SEED)
+
+    @pytest.mark.parametrize("n_samples", [True, 2.5, "3", 2.0, math.nan])
+    @pytest.mark.parametrize("operation", [fig1_scatter, fig2_fixed_angle])
+    def test_sample_counts_must_be_integers(self, operation, n_samples):
+        with pytest.raises(OutOfRangeError, match="n_samples must be an integer >= 1"):
+            operation(2, 2, n_samples, SEED)
 
     def test_each_reader_checks_its_values(self):
         # Each value is checked by the operation or helper that reads it.

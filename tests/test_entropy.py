@@ -295,7 +295,7 @@ class TestHcOfVector:
 # Row lengths on both sides of numpy's pairwise-sum thresholds: below 8 the
 # sum is sequential, from 8 on it runs in 8 accumulators, and above 128 it
 # splits in halves.
-STACK_LENGTHS = [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 257, 1024]
+STACK_LENGTHS = [1, 2, 3, 7, 8, 9, 16, 17, 100, 127, 128, 129, 257, 1024]
 
 
 def rows_with_zeros(length, seed, n_rows=24):
@@ -332,7 +332,9 @@ class TestStackedKernels:
         rows = rows_with_zeros(length, seed=length)
         stacked = _entropy_of_probabilities(rows)
         assert stacked.shape == (len(rows),)
-        assert np.array_equal(stacked, [_entropy_of_probabilities(row) for row in rows])
+        singles = [_entropy_of_probabilities(row) for row in rows]
+        assert all(type(h) is float for h in singles)
+        assert np.array_equal(stacked, singles)
         cube = _entropy_of_probabilities(rows.reshape(4, 6, length))
         assert np.array_equal(cube.ravel(), stacked)
 

@@ -4,19 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import rand_hermitian, rand_positive_definite
+from conftest import count_calls, rand_hermitian, rand_invertible_density, rand_positive_definite
 from oracles import m_oracle
 
-from entrobound import experiments, linalg
+from entrobound import experiments, fvdg, linalg, metrics
 from entrobound.errors import (
     DimensionMismatchError,
     InvalidDeltaError,
     NegativeEigenvalueError,
     NonHermitianError,
     NotInvertibleError,
+    OutOfRangeError,
 )
 from entrobound.linalg import (
     INVERTIBILITY_TOL,
+    MAX_ENTRY,
+    SpectralDecomposition,
+    as_hermitian,
     decompose,
     eig_hermitian,
     geometric_mean,
@@ -24,6 +28,7 @@ from entrobound.linalg import (
     m_operator_perturbed,
     mat_sqrt,
     positive_negative_parts,
+    root_product,
 )
 from entrobound.sampling import RngHandle, sample_density, sample_haar_unitary, sample_simplex
 from entrobound.states import make_density
@@ -75,6 +80,77 @@ class TestEigHermitian:
             assert np.max(np.abs(dec.reconstruct() - m)) <= 1e-10 * d * scale
             gram = dec.eigenvectors.conj().T @ dec.eigenvectors
             assert np.max(np.abs(gram - np.eye(d))) <= 1e-12 * d
+
+
+# Finite entries whose (m + m†)/2 overflows to inf.
+OVERFLOWING = [[0.5, 1e308], [1e308, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [mat_sqrt, eig_hermitian, positive_negative_parts, lambda m: m_operator(m, np.eye(2))],
+    ids=["mat_sqrt", "eig_hermitian", "positive_negative_parts", "m_operator"],
+)
+def test_entries_that_overflow_when_symmetrized_are_out_of_range(kernel):
+    # Past the boundary they would give NaN arrays, or NotInvertibleError on a
+    # NaN spectrum, each with a RuntimeWarning (an error in this suite).
+    with pytest.raises(OutOfRangeError, match="modulus 1.000e[+]308 exceeds 8.988e[+]307"):
+        kernel(OVERFLOWING)
+
+
+def test_entries_up_to_the_largest_modulus_symmetrize_to_finite_values():
+    m = np.array([[MAX_ENTRY, 1j * MAX_ENTRY], [-1j * MAX_ENTRY, -MAX_ENTRY]])
+    h = as_hermitian(m)
+    assert np.isfinite(h).all() and np.array_equal(h, m)
+    with pytest.raises(OutOfRangeError):
+        as_hermitian(np.nextafter(MAX_ENTRY, np.inf) * np.eye(2))
+
+
+def block_eigensystems(seed, n, d_b, d):
+    """An ``(n, d_B)`` grid of sampled eigensystems of ``d x d`` densities."""
+    rng = RngHandle(seed)
+    return [[sample_density(rng, d).spectrum for _ in range(d_b)] for _ in range(n)]
+
+
+def stacked(grid):
+    return SpectralDecomposition(
+        np.array([[dec.eigenvalues for dec in row] for row in grid]),
+        np.array([[dec.eigenvectors for dec in row] for row in grid]),
+    )
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_apply_is_each_matrix_bit_for_bit(d):
+    # The package's one V f(w) V†, on a stack (n, d_B, d, d) and per matrix.
+    grid = block_eigensystems(60 + d, 5, 3, d)
+    for fn in (np.sqrt, lambda w: w):
+        whole = stacked(grid).apply(fn)
+        assert whole.shape == (5, 3, d, d)
+        assert np.array_equal(whole, [[dec.apply(fn) for dec in row] for row in grid])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_stacked_root_product_is_each_product_bit_for_bit(d):
+    grid = block_eigensystems(70 + d, 4, 3, d)
+    sigmas = np.array([[dec.reconstruct() for dec in row]
+                       for row in block_eigensystems(80 + d, 4, 3, d)])
+    whole = root_product(stacked(grid), sigmas)
+    assert np.array_equal(whole, [[root_product(dec, s) for dec, s in zip(row, srow)]
+                                  for row, srow in zip(grid, sigmas)])
+
+
+@pytest.mark.parametrize("route", [
+    metrics.fidelity,
+    metrics.distance_triple,
+    lambda rho, sigma: m_operator(rho.matrix, sigma.matrix),
+    fvdg.classify_pair,
+], ids=["fidelity", "distance_triple", "m_operator", "classify_pair"])
+def test_each_route_forms_the_root_product_once_through_one_function(monkeypatch, route):
+    rng = RngHandle(90)
+    rho, sigma = rand_invertible_density(rng, 3), rand_invertible_density(rng, 3)
+    calls = count_calls(monkeypatch, linalg, "root_product")
+    route(rho, sigma)
+    assert len(calls) == 1
 
 
 class TestMatSqrt:

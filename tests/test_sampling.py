@@ -268,6 +268,10 @@ class TestSampleClassicalPairAtAngle:
         {"d": 4, "angle": np.pi / 2},
         {"d": 4, "angle": 0.1, "max_rejects": 0},
         {"d": 4.0, "angle": 0.1},
+        {"d": 4, "angle": 0.1, "max_rejects": 2.5},
+        {"d": 4, "angle": 0.1, "max_rejects": "3"},
+        {"d": 4, "angle": 0.1, "max_rejects": float("nan")},
+        {"d": 4, "angle": 0.1, "max_rejects": True},
     ])
     def test_domain(self, kwargs):
         with pytest.raises(OutOfRangeError):

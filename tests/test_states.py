@@ -76,11 +76,10 @@ class TestMakeDensity:
         "m", [[[0.5, 1e308], [1e308, 0.5]], [[1e308, 1e308], [1e308, 1e308]]]
     )
     def test_rejects_finite_entries_that_overflow_when_symmetrized(self, m):
-        # (m + m†)/2 overflows to inf, so eigh gives NaN eigenvalues and the
-        # trace is NaN, which `abs(trace - 1) > TRACE_TOL` would let through.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TraceNotOneError, match="trace nan differs from 1"):
-                make_density(m)
+        # (m + m†)/2 would overflow to inf; the boundary rejects the entries
+        # before symmetrizing, with no RuntimeWarning (an error in this suite).
+        with pytest.raises(OutOfRangeError, match="modulus 1.000e[+]308 exceeds"):
+            make_density(m)
 
     def test_trusted_constructor_keeps_psd_check(self):
         with pytest.raises(NegativeEigenvalueError):

@@ -2,8 +2,11 @@
 
 Each line is a command and the first 16 hex digits of the sha256 of its
 stdout.  Only ``fig1``, ``fig2`` and ``sample`` read a seed, so only they
-get ``--seed 20221``.  The last two ``fig1`` lines take the edge shapes
-``d_A = 1`` and ``d_B = 1`` through fig1's block route.  The three ``fig2``
+get ``--seed 20221``.  The fourth ``fig1`` line, at 8 x 8, is the first
+with ``d_A >= 8``: it forms 8 x 8 roots in one stacked call per chunk, and
+its entropy rows of 64 entries go through numpy's pairwise-blocked sum.  The
+last two ``fig1`` lines take the edge shapes ``d_A = 1`` and ``d_B = 1``
+through fig1's block route.  The three ``fig2``
 lines have rows of 16, 32 and 3 entries, so they cover both the
 pairwise-blocked and the sequential sum of numpy along a row.  The
 ``curve`` lines at ``--da 2 --db 4`` and ``--da 3 --db 1`` take the partial
@@ -52,6 +55,7 @@ COMMANDS = [
     ["fig1", "--n", "500", "--db", "2", "--seed", SEED],
     ["fig1", "--n", "500", "--db", "16", "--seed", SEED],
     ["fig1", "--n", "50", "--format", "svg", "--seed", SEED],
+    ["fig1", "--n", "200", "--da", "8", "--db", "8", "--seed", SEED],
     ["fig1", "--n", "200", "--da", "1", "--db", "3", "--seed", SEED],
     ["fig1", "--n", "200", "--da", "3", "--db", "1", "--seed", SEED],
     ["fig2", "--n", "100", "--da", "8", "--db", "2", "--seed", SEED],
