@@ -33,7 +33,13 @@ from .entropy import (
 from .errors import OutOfRangeError
 from .linalg import SpectralDecomposition, frozen, root_product, symmetrized
 from .metrics import _classical_fidelity_rows, _fidelity_from_spectrum_rows, angular_distance
-from .sampling import RngHandle, check_sampler_angle, sample_classical_pair_at_angle, sample_qc_pair
+from .sampling import (
+    MAX_REJECTS,
+    RngHandle,
+    _classical_pair_at_angle,
+    check_sampler_angle,
+    sample_qc_pair,
+)
 from .states import DensityOperator, QCState, check_dimension, trusted_density
 
 # Grid threshold above which a bound excess counts as a violation.
@@ -192,8 +198,9 @@ def fig2_fixed_angle(
 
     ``angles`` defaults to 1e-6, 2e-6, ..., 1e-5.  Each angle gets its own
     derived stream, so output is independent of how angles are scheduled.
-    Every angle is checked before the first draw.  Per angle the pairs are
-    drawn one at a time by ``sample_classical_pair_at_angle`` into two stacked
+    Every angle, ``n_samples`` and ``d_A d_B >= 2`` are checked before the
+    first draw.  Per angle the pairs are drawn one at a time by the body of
+    ``sample_classical_pair_at_angle`` straight into two stacked
     ``(n, d_A d_B)`` arrays, and the fidelities and both conditional entropies
     are then evaluated on all rows at once, with the arithmetic of
     ``classical_fidelity`` and ``classical_conditional_entropy``.
@@ -204,14 +211,13 @@ def fig2_fixed_angle(
         check_sampler_angle(angle)
     base = RngHandle(seed)
     u = lipschitz_u(d_a)
-    dim = d_a * check_dimension(d_b)
+    dim = check_dimension(d_a * check_dimension(d_b), 2)
     p_rows, q_rows = np.empty((2, n_samples, dim))
     rows = []
     for i, angle in enumerate(angles):
         rng = base.stream(i)
         for j in range(n_samples):
-            p, q = sample_classical_pair_at_angle(rng, dim, angle)
-            p_rows[j], q_rows[j] = p.probs, q.probs
+            p_rows[j], q_rows[j] = _classical_pair_at_angle(rng, dim, angle, MAX_REJECTS)
         fidelities = _classical_fidelity_rows(p_rows, q_rows).tolist()
         diffs = np.abs(_hc_raw(p_rows, d_a, d_b) - _hc_raw(q_rows, d_a, d_b)).tolist()
         for fidelity, diff in zip(fidelities, diffs):

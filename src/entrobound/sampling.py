@@ -3,6 +3,8 @@ and classical pairs pinned to an exact angular distance."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import OutOfRangeError, RejectionBudgetExhaustedError
@@ -12,6 +14,7 @@ from .states import (
     DensityOperator,
     QCState,
     check_dimension,
+    is_integer,
     trusted_classical,
 )
 
@@ -23,6 +26,8 @@ __all__ = [
 _TWO64 = 2**64
 # Resample threshold for a direction that is numerically parallel to r.
 _DEGENERATE_TOL = 1e-12
+# Consecutive rejections after which the angle sampler gives up.
+MAX_REJECTS = 1000
 
 
 class RngHandle:
@@ -37,14 +42,13 @@ class RngHandle:
     """
 
     def __init__(self, seed: int):
-        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-                or not 0 <= seed < _TWO64):
+        if not is_integer(seed) or not 0 <= seed < _TWO64:
             raise OutOfRangeError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self.seed = int(seed)
         self.generator = np.random.default_rng(self.seed)
 
     def stream(self, index: int) -> "RngHandle":
-        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        if not is_integer(index):
             raise OutOfRangeError(f"stream index must be an integer, got {index!r}")
         return RngHandle((self.seed + int(index)) % _TWO64)
 
@@ -88,6 +92,32 @@ def sample_qc_pair(rng: RngHandle, d_a: int, d_b: int) -> tuple[QCState, QCState
     return _sample_qc_state(rng, d_a, d_b), _sample_qc_state(rng, d_a, d_b)
 
 
+def check_sampler_angle(angle: float) -> None:
+    """The one check of an angle for ``sample_classical_pair_at_angle``: in (0, pi/2)."""
+    if not 0.0 < angle < np.pi / 2:
+        raise OutOfRangeError(f"angle must lie in (0, pi/2), got {angle}")
+
+
+def sample_classical_pair_at_angle(
+    rng: RngHandle, d: int, angle: float, max_rejects: int = MAX_REJECTS
+) -> tuple[ClassicalDist, ClassicalDist]:
+    """Commuting state pair with angular distance exactly ``angle``.
+
+    Draw a direction r on the positive hyperoctant of the unit sphere, rotate
+    it by ``angle`` along the great circle toward an independent random
+    direction, and square the coordinates.  The rotation is exact, so the
+    square-root vectors satisfy ``r . s = cos(angle)`` to machine precision.
+    Draws where the rotated point leaves the positive hyperoctant are
+    rejected (rare for small angles); a direction numerically parallel to r
+    is resampled internally and never counts as a rejection.
+    """
+    d = check_dimension(d, 2)
+    check_sampler_angle(angle)
+    max_rejects = check_dimension(max_rejects, 1, "max_rejects")
+    p, q = _classical_pair_at_angle(rng, d, angle, max_rejects)
+    return trusted_classical(p), trusted_classical(q)
+
+
 # -- the samplers' bodies, for dimensions already checked ---------------------
 
 
@@ -124,42 +154,30 @@ def _sample_qc_state(rng: RngHandle, d_a: int, d_b: int) -> QCState:
     return QCState(tuple((float(w), _density(rng, d_a)) for w in weights))
 
 
-def check_sampler_angle(angle: float) -> None:
-    """The one check of an angle for ``sample_classical_pair_at_angle``: in (0, pi/2)."""
-    if not 0.0 < angle < np.pi / 2:
-        raise OutOfRangeError(f"angle must lie in (0, pi/2), got {angle}")
+def _classical_pair_at_angle(
+    rng: RngHandle, d: int, angle: float, max_rejects: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The squared vectors ``r*r`` and ``s*s`` of one pair, for checked arguments.
 
-
-def sample_classical_pair_at_angle(
-    rng: RngHandle, d: int, angle: float, max_rejects: int = 1000
-) -> tuple[ClassicalDist, ClassicalDist]:
-    """Commuting state pair with angular distance exactly ``angle``.
-
-    Draw a direction r on the positive hyperoctant of the unit sphere, rotate
-    it by ``angle`` along the great circle toward an independent random
-    direction, and square the coordinates.  The rotation is exact, so the
-    square-root vectors satisfy ``r . s = cos(angle)`` to machine precision.
-    Draws where the rotated point leaves the positive hyperoctant are
-    rejected (rare for small angles); a direction numerically parallel to r
-    is resampled internally and never counts as a rejection.
+    The draw, rotate and reject loop of ``sample_classical_pair_at_angle``.
+    Each norm is ``sqrt(x @ x)``, bit for bit what ``np.linalg.norm``
+    computes for a real 1-D array.
     """
-    d = check_dimension(d, 2)
-    check_sampler_angle(angle)
-    max_rejects = check_dimension(max_rejects, 1, "max_rejects")
     gen = rng.generator
+    cos, sin = np.cos(angle), np.sin(angle)
     for _ in range(max_rejects):
         r = gen.standard_normal(d)
-        r = np.abs(r / np.linalg.norm(r))
+        r = np.abs(r / math.sqrt(r @ r))
         while True:
             direction = gen.standard_normal(d)
-            direction /= np.linalg.norm(direction)
+            direction /= math.sqrt(direction @ direction)
             t = direction - (direction @ r) * r
-            norm = np.linalg.norm(t)
+            norm = math.sqrt(t @ t)
             if norm > _DEGENERATE_TOL:
                 break
-        s = np.cos(angle) * r + np.sin(angle) * (t / norm)
-        if np.all(s >= 0.0):
-            return trusted_classical(r * r), trusted_classical(s * s)
+        s = cos * r + sin * (t / norm)
+        if s.min() >= 0.0:
+            return r * r, s * s
     raise RejectionBudgetExhaustedError(
         f"{max_rejects} consecutive rejections at angle {angle}, d={d}"
     )

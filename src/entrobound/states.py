@@ -35,13 +35,21 @@ WEIGHT_TOL = 1e-12
 QC_BLOCK_TOL = 1e-12
 
 
+def is_integer(x) -> bool:
+    """The package's one test of an outside integer: a Python or numpy integer.
+
+    Bools, floats (even integral ones such as 2.0) and strings fail it.
+    """
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
+
+
 def check_dimension(d, least: int = 1, what: str = "dimension") -> int:
     """The package's one check of an outside dimension or count: an integer >= ``least``.
 
-    ``what`` names the value in the error.  Bools, floats (even integral ones
-    such as 2.0) and strings are rejected.
+    ``what`` names the value in the error; ``is_integer`` decides what counts
+    as an integer.
     """
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < least:
+    if not is_integer(d) or d < least:
         raise OutOfRangeError(f"{what} must be an integer >= {least}, got {d!r}")
     return int(d)
 
@@ -178,7 +186,8 @@ class SqrtVector:
 
     Entries are ``sqrt(alpha_k p_{jk})`` with the eigenvalues of each block
     sorted descending, which is the ordering under which the dot product of
-    two such vectors lower-bounds the fidelity of the embedded states.
+    two such vectors upper-bounds the fidelity of the embedded states:
+    ``r . s >= F``, so ``theta0(r, s) <= A``.
     """
 
     entries: np.ndarray

@@ -1,8 +1,11 @@
-"""High-precision oracles for the test suite, evaluated with mpmath.
+"""Oracles for the test suite.
 
-Each takes the same float inputs as the route it checks, and works at the
-caller's ``mpmath.workdps`` (50 digits in the suite) unless it says
-otherwise.  Import them as the tests import ``conftest``:
+The high-precision ones are evaluated with mpmath.  Each takes the same
+float inputs as the route it checks, and works at the caller's
+``mpmath.workdps`` (50 digits in the suite) unless it says otherwise.
+``reference_pair_at_angle`` is a bit-for-bit reference instead: the
+per-pair loop of the angle sampler in plain numpy.  Import them as the
+tests import ``conftest``:
 
     from oracles import quantum_fidelity_oracle
 """
@@ -11,6 +14,8 @@ from __future__ import annotations
 
 import mpmath
 import numpy as np
+
+from entrobound.errors import RejectionBudgetExhaustedError
 
 
 def mp_matrix(m):
@@ -102,3 +107,30 @@ def u_oracle(d: int):
     x0 = mpmath.findroot(lambda x: mpmath.log(x) - 2 * (1 - 1 / x), 4.9)
     f = 2 * mpmath.log(x0) / x0 * (d - 1) if d <= x0 else mpmath.log(d) ** 2
     return 2 * mpmath.sqrt(f)
+
+
+def reference_pair_at_angle(rng, d, angle, max_rejects=1000):
+    """``r*r`` and ``s*s`` of ``sample_classical_pair_at_angle``'s draw, rotate
+    and reject loop, written with ``np.linalg.norm`` and with ``np.cos`` and
+    ``np.sin`` taken per attempt.
+
+    It draws from ``rng.generator`` in the sampler's order, so a sampler whose
+    output and generator state match it bit for bit makes the same draws.
+    """
+    gen = rng.generator
+    for _ in range(max_rejects):
+        r = gen.standard_normal(d)
+        r = np.abs(r / np.linalg.norm(r))
+        while True:
+            direction = gen.standard_normal(d)
+            direction /= np.linalg.norm(direction)
+            t = direction - (direction @ r) * r
+            norm = np.linalg.norm(t)
+            if norm > 1e-12:
+                break
+        s = np.cos(angle) * r + np.sin(angle) * (t / norm)
+        if np.all(s >= 0.0):
+            return r * r, s * s
+    raise RejectionBudgetExhaustedError(
+        f"{max_rejects} consecutive rejections at angle {angle}, d={d}"
+    )

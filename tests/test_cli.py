@@ -18,7 +18,7 @@ from oracles import (
     quantum_fidelity_oracle,
 )
 
-from entrobound import cli, experiments, linalg, states
+from entrobound import cli, experiments, linalg, sampling, states
 from entrobound.cli import render_csv
 from entrobound.entropy import classical_conditional_entropy, conditional_entropy, lipschitz_u
 from entrobound.errors import OutOfRangeError
@@ -227,7 +227,7 @@ def fig2_rows_by_pair(d_a, d_b, n_samples, seed, angles):
     for i, angle in enumerate(sorted(angles)):
         rng = base.stream(i)
         for _ in range(n_samples):
-            p, q = experiments.sample_classical_pair_at_angle(rng, d_a * d_b, angle)
+            p, q = sampling.sample_classical_pair_at_angle(rng, d_a * d_b, angle)
             measured = math.acos(classical_fidelity(p, q))
             diff = abs(classical_conditional_entropy(p, d_a, d_b)
                        - classical_conditional_entropy(q, d_a, d_b))
@@ -251,35 +251,37 @@ class TestFig2StackedRoute:
 
     @pytest.mark.parametrize("d_a, d_b", FIG2_SHAPES)
     def test_rows_with_exact_zeros(self, monkeypatch, d_a, d_b):
-        original = experiments.sample_classical_pair_at_angle
+        original = sampling._classical_pair_at_angle
 
         def zeroed(probs, k):
             if k < probs.size:
                 probs = probs.copy()
                 probs[k] = 0.0
                 probs /= probs.sum()
-            return states.trusted_classical(probs)
+            return probs
 
-        def with_zeros(rng, d, angle):
+        def with_zeros(rng, d, angle, max_rejects):
             # Zero positions come from the pair's own bits, so both routes see
             # the same zeros: none, in p, in q, or in both at one entry.
-            p, q = original(rng, d, angle)
-            k = int(p.probs[0] * 2**20)
-            return zeroed(p.probs, k % (d + 1)), zeroed(q.probs, k // (d + 1) % (d + 1))
+            p, q = original(rng, d, angle, max_rejects)
+            k = int(p[0] * 2**20)
+            return zeroed(p, k % (d + 1)), zeroed(q, k // (d + 1) % (d + 1))
 
-        monkeypatch.setattr(experiments, "sample_classical_pair_at_angle", with_zeros)
+        # fig2 calls the body directly, the public sampler through its module.
+        for module in (experiments, sampling):
+            monkeypatch.setattr(module, "_classical_pair_at_angle", with_zeros)
         _, rows = fig2_fixed_angle(d_a, d_b, 30, 5)
         assert rows == fig2_rows_by_pair(d_a, d_b, 30, 5, FIG2_ANGLES)
 
     def test_sampler_runs_n_times_per_angle_in_order(self, monkeypatch):
         calls = []
-        original = experiments.sample_classical_pair_at_angle
+        original = experiments._classical_pair_at_angle
 
-        def recording(rng, d, angle):
+        def recording(rng, d, angle, max_rejects):
             calls.append((rng.generator.bit_generator.state["state"]["state"], d, angle))
-            return original(rng, d, angle)
+            return original(rng, d, angle, max_rejects)
 
-        monkeypatch.setattr(experiments, "sample_classical_pair_at_angle", recording)
+        monkeypatch.setattr(experiments, "_classical_pair_at_angle", recording)
         fig2_fixed_angle(3, 2, 4, SEED, angles=(5e-6, 1e-6, 3e-6))
         assert [call[1:] for call in calls] == [(6, a) for a in (1e-6, 3e-6, 5e-6) for _ in range(4)]
         base = RngHandle(SEED)
@@ -1075,6 +1077,8 @@ class TestConfigValidation:
             fig1_scatter(2, 0, 1, SEED)
         with pytest.raises(OutOfRangeError):
             fig2_fixed_angle(2, 0, 1, SEED)
+        with pytest.raises(OutOfRangeError, match=r"^dimension must be an integer >= 2, got 1$"):
+            fig2_fixed_angle(1, 1, 1, SEED)  # the sampler needs d_A d_B >= 2
         with pytest.raises(OutOfRangeError):
             counterexample_curve(0, 2, 0.5)
         with pytest.raises(OutOfRangeError):
@@ -1101,13 +1105,13 @@ class TestConfigValidation:
 
     def test_fig2_checks_every_angle_before_drawing(self, monkeypatch):
         calls = []
-        original = experiments.sample_classical_pair_at_angle
+        original = experiments._classical_pair_at_angle
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "sample_classical_pair_at_angle", counting)
+        monkeypatch.setattr(experiments, "_classical_pair_at_angle", counting)
         with pytest.raises(OutOfRangeError):
             fig2_fixed_angle(2, 2, 1000, SEED, angles=(1e-6, 2.0))
         assert calls == []

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import reference_pair_at_angle
+
 from entrobound import sampling, states
 from entrobound.errors import OutOfRangeError, RejectionBudgetExhaustedError
 from entrobound.metrics import classical_fidelity
@@ -212,6 +214,21 @@ class TestSampleQcPair:
             sample_qc_pair(RngHandle(13), *dims)
 
 
+def scripted_parallel_handle() -> RngHandle:
+    """A handle whose draws are r, then a direction parallel to r, then an
+    orthogonal one."""
+
+    class Scripted:
+        draws = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([1.0, -1.0])]
+
+        def standard_normal(self, d):
+            return self.draws.pop(0)
+
+    rng = RngHandle(0)
+    rng.generator = Scripted()
+    return rng
+
+
 class TestSampleClassicalPairAtAngle:
     @pytest.mark.parametrize("angle", [1e-6, 1e-3, 0.3, 1.0])
     def test_dot_product_is_exact(self, angle):
@@ -247,15 +264,7 @@ class TestSampleClassicalPairAtAngle:
             sample_classical_pair_at_angle(RngHandle(17), 16, 1.47, max_rejects=5)
 
     def test_parallel_direction_is_redrawn_without_counting_as_a_rejection(self):
-        class Scripted:
-            # r, then a direction parallel to r, then an orthogonal one.
-            draws = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([1.0, -1.0])]
-
-            def standard_normal(self, d):
-                return self.draws.pop(0)
-
-        rng = RngHandle(0)
-        rng.generator = Scripted()
+        rng = scripted_parallel_handle()
         p, q = sample_classical_pair_at_angle(rng, 2, 0.1, max_rejects=1)
         s = (np.cos(0.1) * np.array([1.0, 1.0]) + np.sin(0.1) * np.array([1.0, -1.0])) / np.sqrt(2)
         assert not rng.generator.draws
@@ -276,3 +285,55 @@ class TestSampleClassicalPairAtAngle:
     def test_domain(self, kwargs):
         with pytest.raises(OutOfRangeError):
             sample_classical_pair_at_angle(RngHandle(18), **kwargs)
+
+
+# At d = 16 and angle 1.0 the budget of 1000 rejections runs out.
+REFERENCE_CASES = [(d, angle) for d in (2, 3, 16, 32) for angle in (1e-6, 1e-3, 0.3, 1.0)
+                   if angle < 1.0 or d <= 4]
+
+
+def angle_routes(d, angle, max_rejects=sampling.MAX_REJECTS):
+    """The public sampler, its body and the reference loop, each giving ``(p, q)`` arrays."""
+    return {
+        "public": lambda rng: tuple(
+            x.probs for x in sample_classical_pair_at_angle(rng, d, angle, max_rejects)),
+        "body": lambda rng: sampling._classical_pair_at_angle(rng, d, angle, max_rejects),
+        "reference": lambda rng: reference_pair_at_angle(rng, d, angle, max_rejects),
+    }
+
+
+def bits(pairs):
+    return [a.tobytes() for pair in pairs for a in pair]
+
+
+class TestAngleSamplerAgainstReference:
+    """The public sampler and its body against ``oracles.reference_pair_at_angle``, bit for bit."""
+
+    @pytest.mark.parametrize("d, angle", REFERENCE_CASES)
+    @pytest.mark.parametrize("seed", [14, 2611, 90210])
+    def test_pairs_and_draws_match_bit_for_bit(self, d, angle, seed):
+        results = {}
+        for name, route in angle_routes(d, angle).items():
+            rng = RngHandle(seed)
+            pairs = [route(rng) for _ in range(20)]
+            results[name] = bits(pairs), rng.generator.bit_generator.state
+        assert results["public"] == results["reference"]
+        assert results["body"] == results["reference"]
+
+    def test_parallel_direction_matches(self):
+        results = {}
+        for name, route in angle_routes(2, 0.1, max_rejects=1).items():
+            rng = scripted_parallel_handle()
+            results[name] = bits([route(rng)])
+            assert not rng.generator.draws
+        assert results["public"] == results["body"] == results["reference"]
+
+    def test_budget_exhaustion_matches(self):
+        after = []
+        for route in angle_routes(16, 1.47, max_rejects=5).values():
+            rng = RngHandle(17)
+            with pytest.raises(RejectionBudgetExhaustedError,
+                               match="^5 consecutive rejections at angle 1.47, d=16$"):
+                route(rng)
+            after.append(rng.generator.bit_generator.state)
+        assert after[0] == after[1] == after[2]

@@ -14,7 +14,7 @@ from entrobound.errors import (
     StateFormatError,
     TraceNotOneError,
 )
-from entrobound.metrics import angular_distance
+from entrobound.metrics import angular_distance, fidelity
 from entrobound.sampling import RngHandle, sample_qc_pair
 from entrobound.states import (
     check_dimension,
@@ -211,6 +211,16 @@ class TestSqrtVector:
             assert abs(np.linalg.norm(v.entries) - 1.0) <= 1e-9
             blocks = v.entries.reshape(4, 3)
             assert np.all(np.diff(blocks, axis=1) <= 1e-15)
+
+    def test_dot_product_upper_bounds_the_dense_fidelity(self):
+        # r . s >= F(qc_embed(rho), qc_embed(sigma)) on 320 pairs, d_A and d_B in 1..4.
+        rng = RngHandle(11)
+        for d_a in range(1, 5):
+            for d_b in range(1, 5):
+                for _ in range(20):
+                    left, right = sample_qc_pair(rng, d_a, d_b)
+                    dot = float(sqrt_vector(left).entries @ sqrt_vector(right).entries)
+                    assert dot >= fidelity(qc_embed(left), qc_embed(right)) - 1e-12
 
 
 class TestTheta0:

@@ -1,20 +1,24 @@
 """Print the byte-identity digests of the CLI's outputs at seed 20221.
 
-Each line is a command and the first 16 hex digits of the sha256 of its
-stdout.  Only ``fig1``, ``fig2`` and ``sample`` read a seed, so only they
+It prints 24 lines.  Each is a command and the first 16 hex digits of the
+sha256 of its stdout.  Only ``fig1``, ``fig2`` and ``sample`` read a seed, so only they
 get ``--seed 20221``.  The fourth ``fig1`` line, at 8 x 8, is the first
 with ``d_A >= 8``: it forms 8 x 8 roots in one stacked call per chunk, and
 its entropy rows of 64 entries go through numpy's pairwise-blocked sum.  The
 last two ``fig1`` lines take the edge shapes ``d_A = 1`` and ``d_B = 1``
-through fig1's block route.  The three ``fig2``
+through fig1's block route.  The first three ``fig2``
 lines have rows of 16, 32 and 3 entries, so they cover both the
-pairwise-blocked and the sequential sum of numpy along a row.  The
+pairwise-blocked and the sequential sum of numpy along a row.  They run at
+angles of 1e-6 to 1e-5, where the angle sampler rarely rejects a draw; the
+fourth, at angles 0.3 and 1.0 and d = 4, takes 1.6 and 9.0 attempts per
+pair on average (at most 61 of the budget's 1000), so it covers the
+sampler's reject branch.  The
 ``curve`` lines at ``--da 2 --db 4`` and ``--da 3 --db 1`` take the partial
 trace of the family through ``d_B > d_A`` and ``d_B = 1``.  The
 ``compare`` lines at ``--da 4`` and ``--da 7`` take the trace-to-angle
 conversion beyond d_A = 2, one on each side of the dominance flag (0 at
 d_A = 4, 1 at 7).  The two ``sample`` lines write a QC and a dense pair at
-the default 2 x 2.  The last
+the default 2 x 2.  The next to last
 line is ``classify`` over the 18 valid pair files of the benchmark
 (``VALID_KINDS`` of ``perfbench/workloads.py``), written in order by
 ``make_pair_file(np.random.default_rng(20221), kind)``, with their outputs
@@ -61,6 +65,7 @@ COMMANDS = [
     ["fig2", "--n", "100", "--da", "8", "--db", "2", "--seed", SEED],
     ["fig2", "--n", "100", "--da", "2", "--db", "16", "--seed", SEED],
     ["fig2", "--n", "100", "--da", "1", "--db", "3", "--seed", SEED],
+    ["fig2", "--n", "100", "--da", "2", "--db", "2", "--angles", "0.3,1.0", "--seed", SEED],
     ["curve", "--da", "2", "--db", "2"],
     ["curve", "--da", "10", "--db", "10"],
     ["curve", "--da", "2", "--db", "4"],
