@@ -274,12 +274,9 @@ def main(argv=None) -> int:
     try:
         _emit(SUBCOMMANDS[args.subcommand].run(args), args.out)
         return 0
-    except (StateFormatError, OutOfRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (EntroboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (StateFormatError, OutOfRangeError)) else 1
 
 
 if __name__ == "__main__":

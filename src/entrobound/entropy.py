@@ -65,7 +65,7 @@ class LipschitzConstants:
 
     def majorant(self, x: float) -> float:
         """The piecewise concave upper bound ``f(x)`` for ``ln^2 x`` on x >= 1."""
-        if x < 1.0:
+        if not 1.0 <= x < math.inf:
             raise OutOfRangeError(f"majorant defined on x >= 1, got {x}")
         if x <= self.x0:
             return self.slope * (x - 1.0)

@@ -250,7 +250,7 @@ def counterexample_curve(d_a: int, d_b: int, lambda_step: float) -> Table:
         bound = u * angle_cf
         rows.append(
             (lam, angle_cf, angle_mx, diff_cf, diff_mx, bound,
-             int(diff_cf > bound + VIOLATION_TOL))
+             int(diff_cf - bound > VIOLATION_TOL))
         )
     return (
         ["lambda", "angular_closed", "angular_matrix", "entropy_diff_closed",
@@ -273,26 +273,24 @@ def counterexample_scan(lambda_step: float) -> Table:
     for d_a in range(2, 11):
         u = lipschitz_u(d_a)
         for d_b in range(1, 11):
-            def excess(lam: float) -> float:
-                angle, diff = family_closed_form(d_a, d_b, lam)
-                return diff - u * angle
+            def excess(grid: np.ndarray) -> np.ndarray:
+                return np.array([diff - u * angle for angle, diff in
+                                 (family_closed_form(d_a, d_b, float(l)) for l in grid)])
 
-            gaps = np.array([excess(float(l)) for l in base_grid])
-            violating = base_grid[gaps > VIOLATION_TOL]
-            if violating.size:
-                lo = max(0.0, float(violating.min()) - lambda_step)
-                hi = min(1.0, float(violating.max()) + lambda_step)
-                fine = np.clip(np.arange(lo, hi + 0.0005, 0.001), 0.0, 1.0)
-                fine_gaps = np.array([excess(float(l)) for l in fine])
-                sel = fine_gaps > VIOLATION_TOL
-                best = int(np.argmax(fine_gaps))
-                rows.append(
-                    (d_a, d_b, float(fine[best]), float(fine_gaps[best]),
-                     float(fine[sel].min()), float(fine[sel].max()))
-                )
-            else:
-                best = int(np.argmax(gaps))
-                rows.append((d_a, d_b, float(base_grid[best]), float(gaps[best]), -1.0, -1.0))
+            # Grid points with a violation; a coarse grid with any is replaced
+            # by the refined grid around them.
+            grid = base_grid
+            gaps = excess(grid)
+            hits = grid[gaps > VIOLATION_TOL]
+            if hits.size:
+                lo = max(0.0, float(hits.min()) - lambda_step)
+                hi = min(1.0, float(hits.max()) + lambda_step)
+                grid = np.clip(np.arange(lo, hi + 0.0005, 0.001), 0.0, 1.0)
+                gaps = excess(grid)
+                hits = grid[gaps > VIOLATION_TOL]
+            best = int(np.argmax(gaps))
+            span = (float(hits.min()), float(hits.max())) if hits.size else (-1.0, -1.0)
+            rows.append((d_a, d_b, float(grid[best]), float(gaps[best])) + span)
     return (
         ["d_a", "d_b", "lambda_star", "max_violation", "lambda_lo", "lambda_hi"],
         rows,

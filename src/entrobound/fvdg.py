@@ -29,6 +29,7 @@ from .metrics import (
     check_basis,
     check_classical_pair,
     check_pair,
+    measure,
 )
 from .states import ClassicalDist, DensityOperator
 
@@ -210,9 +211,8 @@ def classical_saturation_class(p: ClassicalDist, q: ClassicalDist) -> Saturation
 
 
 def _saturates_c2(pa: np.ndarray, qa: np.ndarray) -> bool:
-    if np.all(np.abs(pa - qa) <= CLASSICAL_TOL):
-        return True
-    if np.all(np.minimum(pa, qa) <= CLASSICAL_TOL):
+    # Equal distributions, then disjoint supports.
+    if np.all(np.abs(pa - qa) <= CLASSICAL_TOL) or np.all(np.minimum(pa, qa) <= CLASSICAL_TOL):
         return True
     # Remaining branch requires equal supports and ratios in {b, 1/b}.
     p_sup = pa > CLASSICAL_TOL
@@ -220,7 +220,7 @@ def _saturates_c2(pa: np.ndarray, qa: np.ndarray) -> bool:
     if np.any(p_sup != q_sup):
         return False
     ratios = np.sort(qa[p_sup] / pa[p_sup])
-    clusters = _cluster_values(ratios, SPECTRAL_CLUSTER_TOL)
+    clusters = _cluster_values(ratios)
     if len(clusters) == 1:
         return abs(clusters[0] - 1.0) <= SPECTRAL_CLUSTER_TOL
     return _reciprocal_pair(clusters) is not None
@@ -235,12 +235,13 @@ def _reciprocal_pair(clusters: list[float]) -> float | None:
     return None
 
 
-def _cluster_values(sorted_values: np.ndarray, rel_tol: float) -> list[float]:
+def _cluster_values(sorted_values: np.ndarray) -> list[float]:
+    """Means of the runs of ascending values within ``SPECTRAL_CLUSTER_TOL`` relative."""
     clusters: list[list[float]] = [[float(sorted_values[0])]]
     for x in sorted_values[1:]:
         x = float(x)
         last = clusters[-1][-1]
-        if x - last <= rel_tol * max(abs(x), abs(last), 1.0):
+        if x - last <= SPECTRAL_CLUSTER_TOL * max(abs(x), abs(last), 1.0):
             clusters[-1].append(x)
         else:
             clusters.append([x])
@@ -262,7 +263,9 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
     diff_norm = float(np.abs(diff).max())
     invertible = rho.is_invertible() and sigma.is_invertible()
 
-    m, spectrum, residual, c_value = None, linalg.frozen(np.array([])), 0.0, None
+    # The evidence: for an invertible pair the exact structural test, for any
+    # other the gap residuals.  Then one precedence chain decides.
+    m, spectrum, residual, c = None, linalg.frozen(np.array([])), 0.0, None
     if invertible:
         # F's solve already formed sqrt(rho) sigma sqrt(rho), the root inside M.
         m = linalg.m_from_product(rho.spectrum, product)
@@ -270,20 +273,17 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
         commutator = m @ diff - diff @ m
         scale = float(np.abs(m).max()) * diff_norm
         residual = float(np.abs(commutator).max()) / scale if scale > 0.0 else 0.0
+        # eigvalsh returns the spectrum ascending, as clustering needs.
+        c = _reciprocal_pair(_cluster_values(spectrum))
+        upper, lower = c is not None and residual <= COMMUTATOR_TOL, False
+    else:
+        upper, lower = abs(upper_gap) <= RESIDUAL_GAP_TOL, abs(lower_gap) <= RESIDUAL_GAP_TOL
 
     if diff_norm <= EQUAL_TOL:
         cls = PairClass.EQUAL
-    elif invertible:
-        # eigvalsh returns the spectrum ascending, as clustering needs.
-        c = _reciprocal_pair(_cluster_values(spectrum, SPECTRAL_CLUSTER_TOL))
-        if c is not None and residual <= COMMUTATOR_TOL:
-            cls = PairClass.UPPER_SATURATED
-            c_value = c
-        else:
-            cls = PairClass.NEITHER_SATURATED
-    elif abs(upper_gap) <= RESIDUAL_GAP_TOL:
+    elif upper:
         cls = PairClass.UPPER_SATURATED
-    elif abs(lower_gap) <= RESIDUAL_GAP_TOL:
+    elif lower:
         cls = PairClass.LOWER_SATURATED
     else:
         cls = PairClass.NEITHER_SATURATED
@@ -293,7 +293,7 @@ def classify_pair(rho: DensityOperator, sigma: DensityOperator) -> SaturationRep
         m=m,
         spectrum_of_m=spectrum,
         commutator_residual=residual,
-        c_value=c_value,
+        c_value=c if cls is PairClass.UPPER_SATURATED else None,
         distances=triple,
         lower_gap=lower_gap,
         upper_gap=upper_gap,
@@ -357,16 +357,15 @@ def perturbation_trace(
     invertible ``rho_d`` raises InvalidDeltaError.
     """
     check_pair(rho, sigma)
-    check_basis(measurement, rho)
+    # measure checks the basis against rho.
+    in_support = measure(measurement, rho).probs > 1e-12
     deltas = tuple(float(d) for d in deltas)
     if not deltas or any(not 0.0 < d < 1.0 for d in deltas):
         raise InvalidDeltaError(f"deltas must lie in (0, 1), got {deltas}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidDeltaError(f"deltas must be strictly descending, got {deltas}")
 
-    basis = measurement.basis
-    in_support = np.real(np.einsum("ix,ij,jx->x", basis.conj(), rho.matrix, basis)) > 1e-12
-    e = basis[:, in_support]
+    e = measurement.basis[:, in_support]
 
     mu = np.full((len(deltas), rho.dim), np.nan, dtype=complex)
     residuals = np.full((len(deltas), rho.dim), np.nan)

@@ -4,7 +4,9 @@ The high-precision ones are evaluated with mpmath.  Each takes the same
 float inputs as the route it checks, and works at the caller's
 ``mpmath.workdps`` (50 digits in the suite) unless it says otherwise.
 ``reference_pair_at_angle`` is a bit-for-bit reference instead: the
-per-pair loop of the angle sampler in plain numpy.  Import them as the
+per-pair loop of the angle sampler in plain numpy.  ``reciprocal_pair``
+and ``chained_reciprocal_pair`` build state pairs whose ``M`` is known by
+construction; ``tools/digests.py`` writes the chained one to a pair file.  Import them as the
 tests import ``conftest``:
 
     from oracles import quantum_fidelity_oracle
@@ -107,6 +109,60 @@ def u_oracle(d: int):
     x0 = mpmath.findroot(lambda x: mpmath.log(x) - 2 * (1 - 1 / x), 4.9)
     f = 2 * mpmath.log(x0) / x0 * (d - 1) if d <= x0 else mpmath.log(d) ** 2
     return 2 * mpmath.sqrt(f)
+
+
+def u_star_oracle(d: int):
+    """``u*(d)``: the largest ``2 sqrt(Var(-ln p))`` over ``p = (1 - (d-1) t, t, ..., t)``.
+
+    With ``a = 1 - (d-1) t`` the variable ``-ln p`` takes two values, so its
+    variance is ``a (1 - a) ln^2(a (d-1) / (1 - a))``.  A float scan over a
+    picks the highest of 2001 grid points; the maximiser is the root of the
+    derivative between that point's two neighbours, at the working precision.
+    """
+    def var(a):
+        return a * (1 - a) * mpmath.log(a * (d - 1) / (1 - a)) ** 2
+
+    grid = np.linspace(0.0, 1.0, 2003)
+    inner = grid[1:-1]
+    i = int(np.argmax(inner * (1 - inner) * np.log(inner * (d - 1) / (1 - inner)) ** 2))
+    bracket = (mpmath.mpf(grid[i]), mpmath.mpf(grid[i + 2]))
+    a_star = mpmath.findroot(lambda a: mpmath.diff(var, a), bracket, solver="illinois")
+    return 2 * mpmath.sqrt(var(a_star))
+
+
+def reciprocal_pair(v, m, rho_in_basis):
+    """rho and ``sigma = M rho M`` for ``M = V diag(m) V^dagger``, as matrices.
+
+    rho is ``rho_in_basis`` in V's basis, with its parts on the entries of
+    ``m`` below 1 and on the others rescaled so that rho has trace 1 and
+    ``tr(M^2 rho) = 1``.  Normalizing sigma afterwards would move M's
+    spectrum.
+    """
+    low = m < 1.0
+    diag = np.real(np.diag(rho_in_basis))
+    weighted = m * m * diag
+    weights = [[diag[low].sum(), diag[~low].sum()], [weighted[low].sum(), weighted[~low].sum()]]
+    scale = np.sqrt(np.linalg.solve(weights, [1.0, 1.0]))
+    s = np.where(low, scale[0], scale[1])
+    rho = v @ (s[:, None] * rho_in_basis * s) @ v.conj().T
+    mat = (v * m) @ v.conj().T
+    return rho, mat @ rho @ mat
+
+
+def chained_reciprocal_pair():
+    """``m``, rho and sigma of a pair whose ``M`` clusters to ``{c, 1/c}`` and
+    fails the commutator test.
+
+    ``M = diag(1/h, 1/h, h_0, ..., h_3)``, where the ``h_k`` are a chain of
+    relative steps 0.9e-7 from 2, each within ``SPECTRAL_CLUSTER_TOL``, and
+    ``h`` is their mean.  rho couples the chain's two ends, which puts the
+    commutator residual at about 2.4e-7, above ``COMMUTATOR_TOL``.
+    """
+    hi = 2.0 * (1.0 + 0.9e-7 * np.arange(4))
+    m = np.concatenate([np.full(2, 1.0 / hi.mean()), hi])
+    base = np.diag([0.5, 0.5, 1.0, 0.05, 0.05, 1.0])
+    base[2, 5] = base[5, 2] = 0.95
+    return (m, *reciprocal_pair(np.eye(6), m, base))
 
 
 def reference_pair_at_angle(rng, d, angle, max_rejects=1000):

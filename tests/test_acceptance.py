@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_invertible_density, rand_pure_density
-from oracles import u_oracle
+from oracles import u_oracle, u_star_oracle
 
 from entrobound.experiments import counterexample_scan, family_closed_form, family_pair
 from entrobound.entropy import (
@@ -342,6 +342,31 @@ def test_criterion_8_derivative_machinery():
     _report(8, ok, f"100 paths, worst rel FD gap={worst_rel:.2e}, "
                    f"worst |Hc'| - u(d_A)={worst_excess:.2e}")
     assert worst_rel <= 1e-5
+    assert worst_excess <= 1e-8
+
+
+def test_criterion_8_derivative_stays_below_the_exact_constant():
+    # Criterion 8's 100 paths, drawn the same way: the worst |H_c'| is at most
+    # u*(d_A), the exact supremum of the derivative, not only u(d_A).
+    with mpmath.workdps(50):
+        u_star = {d: float(u_star_oracle(d)) for d in range(2, 5)}
+    rng = RngHandle(308)
+    step = 1e-6
+    worst_excess = -np.inf
+    paths = 0
+    while paths < 100:
+        d_a = int(rng.generator.integers(2, 5))
+        d_b = int(rng.generator.integers(1, 5))
+        left, right = sample_qc_pair(rng, d_a, d_b)
+        r, s = sqrt_vector(left), sqrt_vector(right)
+        if float(r.entries @ s.entries) > 1.0 - 1e-10:
+            continue
+        path = great_circle_path(r, s)
+        paths += 1
+        for frac in np.linspace(0.05, 0.95, 20):
+            theta = float(frac) * path.theta0
+            if step < theta < path.theta0 - step:
+                worst_excess = max(worst_excess, abs(hc_derivative(path, theta)) - u_star[d_a])
     assert worst_excess <= 1e-8
 
 

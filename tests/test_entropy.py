@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import classical_fidelity_oracle, entropy_oracle
+from oracles import classical_fidelity_oracle, entropy_oracle, u_star_oracle
 
 from entrobound.entropy import (
     LIPSCHITZ,
@@ -198,8 +198,40 @@ class TestLipschitzConstants:
         assert np.all(np.diff(slopes) <= 1e-9)  # concave: slopes nonincreasing
 
     def test_majorant_domain(self):
-        with pytest.raises(OutOfRangeError):
-            LIPSCHITZ.majorant(0.5)
+        for x in (0.5, float("nan"), float("inf")):
+            with pytest.raises(OutOfRangeError, match="majorant defined on x >= 1"):
+                LIPSCHITZ.majorant(x)
+
+
+# u*(d) = 2 sqrt(V*), the exact supremum of |H_c'|, to 5 decimals.
+U_STAR_TABLE = {2: 1.32549, 3: 1.74563, 4: 2.02335, 5: 2.23289, 8: 2.66576, 16: 3.29771,
+                32: 3.93239, 64: 4.57381}
+
+
+@pytest.fixture(scope="module")
+def u_star():
+    with mpmath.workdps(50):
+        return {d: u_star_oracle(d) for d in range(2, 65)}
+
+
+class TestExactLipschitzConstant:
+    def test_table(self, u_star):
+        for d, value in U_STAR_TABLE.items():
+            assert round(float(u_star[d]), 5) == value
+
+    def test_below_the_papers_constant(self, u_star):
+        assert all(float(u_star[d]) < lipschitz_u(d) for d in range(2, 65))
+
+    def test_no_dirichlet_draw_beats_it(self, u_star):
+        # 2 sqrt(Var(-ln p)) over draws from flat and from peaked Dirichlets.
+        gen = np.random.default_rng(11)
+        for d in range(2, 6):
+            for alpha in (1.0, 0.3, 0.05):
+                p = gen.dirichlet(np.full(d, alpha), size=20_000)
+                log_p = np.log(np.where(p > 0.0, p, 1.0))
+                mean = np.sum(p * log_p, axis=1)
+                var = np.sum(p * (log_p - mean[:, None]) ** 2, axis=1)
+                assert np.max(2.0 * np.sqrt(var)) <= float(u_star[d]) + 1e-12
 
 
 class TestAngularBounds:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import rand_invertible_density, rand_pure_density
+from oracles import chained_reciprocal_pair, reciprocal_pair
 
 from entrobound import linalg
 from entrobound.errors import (
@@ -14,6 +15,8 @@ from entrobound.errors import (
     OutOfRangeError,
 )
 from entrobound.fvdg import (
+    COMMUTATOR_TOL,
+    SPECTRAL_CLUSTER_TOL,
     PairClass,
     SaturationClass,
     classical_saturation_class,
@@ -432,6 +435,46 @@ class TestClassifyPair:
         assert report.m is None
         assert report.pair_class is PairClass.UPPER_SATURATED
         assert report.spectrum_of_m.size == 0
+
+    def test_orthogonal_pure_states_are_upper_before_lower(self):
+        # Not invertible, and T = 1, F = 0 make both gaps exactly 0: the
+        # chain puts Upper before Lower.
+        report = classify_pair(ZERO, diag_density(0.0, 1.0))
+        assert not report.invertible
+        assert report.lower_gap == 0.0 and report.upper_gap == 0.0
+        assert report.pair_class is PairClass.UPPER_SATURATED
+        assert report.c_value is None
+
+    def test_exact_reciprocal_spectrum_forces_commutation(self):
+        # sigma = M rho M, so in M's eigenbasis [M, rho - sigma] has entries
+        # (m_i - m_j)(1 - m_i m_j) rho_ij, which vanish when every m_i is c or
+        # 1/c: a spectrum of exactly {c, 1/c} commutes with any rho.
+        rng = RngHandle(75)
+        for _ in range(10):
+            v = sample_haar_unitary(rng, 3)
+            base = rand_invertible_density(rng, 3).matrix
+            rho, sigma = map(make_density, reciprocal_pair(v, np.array([0.5, 2.0, 0.5]), base))
+            report = classify_pair(rho, sigma)
+            assert report.pair_class is PairClass.UPPER_SATURATED
+            assert report.c_value == pytest.approx(0.5, abs=1e-8)
+            assert report.commutator_residual <= 1e-12
+
+    def test_reciprocal_clusters_without_commutation_are_neither(self):
+        # The commutator can fail only inside the clustering tolerance: the
+        # high cluster is a chain of four eigenvalues 0.9e-7 apart, which
+        # clusters to one value, and rho couples its two ends.
+        m, rho, sigma = chained_reciprocal_pair()
+        report = classify_pair(make_density(rho), make_density(sigma))
+        assert report.invertible
+        # Each step of the chain is within the relative clustering tolerance,
+        # and the two cluster means are reciprocal.
+        spec = report.spectrum_of_m
+        assert_allclose(spec, m, rtol=1e-12)
+        assert np.all(np.diff(spec[2:]) <= SPECTRAL_CLUSTER_TOL * spec[3:])
+        assert abs(spec[:2].mean() * spec[2:].mean() - 1.0) <= SPECTRAL_CLUSTER_TOL
+        assert report.commutator_residual > COMMUTATOR_TOL
+        assert report.pair_class is PairClass.NEITHER_SATURATED
+        assert report.c_value is None
 
     def test_noninvertible_lower_saturation_by_residuals(self):
         rho = diag_density(0.5, 0.5, 0.0)
