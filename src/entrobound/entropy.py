@@ -36,25 +36,6 @@ __all__ = [
     "classical_conditional_entropy", "great_circle_path", "hc_derivative",
 ]
 
-_X0_BISECTION_TOL = 1e-14
-
-
-def _solve_x0() -> float:
-    """Root of ``g(x) = ln x - 2 (1 - 1/x)`` on (e, 10) by bisection."""
-
-    def g(x: float) -> float:
-        return math.log(x) - 2.0 * (1.0 - 1.0 / x)
-
-    lo, hi = math.e, 10.0
-    # g(e) = 1 - 2(1 - 1/e) < 0 and g(10) > 0, so the root is bracketed.
-    while hi - lo > _X0_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
 
 @dataclass(frozen=True)
 class LipschitzConstants:
@@ -72,12 +53,10 @@ class LipschitzConstants:
         return math.log(x) ** 2
 
 
-def _make_constants() -> LipschitzConstants:
-    x0 = _solve_x0()
-    return LipschitzConstants(x0=x0, slope=2.0 * math.log(x0) / x0)
-
-
-LIPSCHITZ = _make_constants()
+# The root of ln x = 2 (1 - 1/x) on (e, 10), also -2 / W0(-2/e^2), correctly
+# rounded from 50 digits: 4.92155363456750509...
+_X0 = 4.9215536345675055
+LIPSCHITZ = LipschitzConstants(x0=_X0, slope=2.0 * math.log(_X0) / _X0)
 
 
 def lipschitz_u(d: int) -> float:
@@ -206,7 +185,7 @@ def hc_of_vector(v: SqrtVector) -> float:
 def classical_conditional_entropy(p, d_a: int, d_b: int) -> float:
     """``H(A|B)`` of a classical joint distribution over ``d_A * d_B`` (k outer)."""
     probs = (p if isinstance(p, ClassicalDist) else make_classical(p)).probs
-    if probs.shape != (d_a * d_b,):
+    if probs.shape != (check_dimension(d_a) * check_dimension(d_b),):
         raise DimensionMismatchError(f"shape {probs.shape} != ({d_a * d_b},)")
     return _hc_raw(probs, d_a, d_b)
 

@@ -57,7 +57,7 @@ class Rank1Measurement:
 def make_measurement(vectors) -> Rank1Measurement:
     """Validate basis orthonormality via the Gram-matrix residual."""
     b = np.asarray(vectors, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square basis matrix, got {b.shape}")
     # A NaN or inf entry makes the residual NaN, which `>` would let through;
     # inf times 0 in the product would also raise numpy's invalid-value warning.

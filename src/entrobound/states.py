@@ -206,7 +206,7 @@ def qc_embed(state: QCState) -> DensityOperator:
 
 
 def _check_split(rho: DensityOperator, d_a: int, d_b: int) -> None:
-    if rho.dim != d_a * d_b:
+    if rho.dim != check_dimension(d_a) * check_dimension(d_b):
         raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
 
 

@@ -150,13 +150,14 @@ def reciprocal_pair(v, m, rho_in_basis):
 
 
 def chained_reciprocal_pair():
-    """``m``, rho and sigma of a pair whose ``M`` clusters to ``{c, 1/c}`` and
-    fails the commutator test.
+    """``m``, rho and sigma of a pair whose ``M`` clusters to ``{c, 1/c}`` only
+    through the clustering's slack.
 
     ``M = diag(1/h, 1/h, h_0, ..., h_3)``, where the ``h_k`` are a chain of
     relative steps 0.9e-7 from 2, each within ``SPECTRAL_CLUSTER_TOL``, and
     ``h`` is their mean.  rho couples the chain's two ends, which puts the
-    commutator residual at about 2.4e-7, above ``COMMUTATOR_TOL``.
+    commutator residual ``[M, rho - sigma]`` at about 2.4e-7, while the upper
+    gap is 3.4e-15.
     """
     hi = 2.0 * (1.0 + 0.9e-7 * np.arange(4))
     m = np.concatenate([np.full(2, 1.0 / hi.mean()), hi])

@@ -15,7 +15,6 @@ from entrobound.errors import (
     OutOfRangeError,
 )
 from entrobound.fvdg import (
-    COMMUTATOR_TOL,
     SPECTRAL_CLUSTER_TOL,
     PairClass,
     SaturationClass,
@@ -459,10 +458,12 @@ class TestClassifyPair:
             assert report.c_value == pytest.approx(0.5, abs=1e-8)
             assert report.commutator_residual <= 1e-12
 
-    def test_reciprocal_clusters_without_commutation_are_neither(self):
+    def test_reciprocal_clusters_without_commutation_are_upper(self):
         # The commutator can fail only inside the clustering tolerance: the
         # high cluster is a chain of four eigenvalues 0.9e-7 apart, which
-        # clusters to one value, and rho couples its two ends.
+        # clusters to one value, and rho couples its two ends.  The pair
+        # saturates the upper inequality to rounding, and the verdict rests
+        # on spec(M) alone, so it reads Upper; the residual is only reported.
         m, rho, sigma = chained_reciprocal_pair()
         report = classify_pair(make_density(rho), make_density(sigma))
         assert report.invertible
@@ -472,9 +473,10 @@ class TestClassifyPair:
         assert_allclose(spec, m, rtol=1e-12)
         assert np.all(np.diff(spec[2:]) <= SPECTRAL_CLUSTER_TOL * spec[3:])
         assert abs(spec[:2].mean() * spec[2:].mean() - 1.0) <= SPECTRAL_CLUSTER_TOL
-        assert report.commutator_residual > COMMUTATOR_TOL
-        assert report.pair_class is PairClass.NEITHER_SATURATED
-        assert report.c_value is None
+        assert report.commutator_residual > SPECTRAL_CLUSTER_TOL
+        assert abs(report.upper_gap) <= 1e-14
+        assert report.pair_class is PairClass.UPPER_SATURATED
+        assert report.c_value == pytest.approx(m[0], rel=1e-12)
 
     def test_noninvertible_lower_saturation_by_residuals(self):
         rho = diag_density(0.5, 0.5, 0.0)

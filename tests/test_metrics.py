@@ -183,6 +183,12 @@ class TestMeasure:
         with pytest.raises(DimensionMismatchError):
             make_measurement(np.eye(3)[:, :2])
 
+    def test_rejects_an_empty_basis(self):
+        # Without the size test np.max of the empty Gram residual raises
+        # numpy's ValueError.
+        with pytest.raises(DimensionMismatchError, match=r"got \(0, 0\)"):
+            make_measurement(np.zeros((0, 0)))
+
     def test_data_processing(self):
         # measurement can only shrink trace distance and grow fidelity
         rng = RngHandle(32)

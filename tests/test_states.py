@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entrobound import linalg, states
+from entrobound.entropy import classical_conditional_entropy, conditional_entropy
 from entrobound.errors import (
     DimensionMismatchError,
     NegativeEigenvalueError,
@@ -19,6 +20,7 @@ from entrobound.sampling import RngHandle, sample_qc_pair
 from entrobound.states import (
     check_dimension,
     dense_state_to_json,
+    is_qc_block_diagonal,
     load_state_pair,
     make_classical,
     make_density,
@@ -399,8 +401,6 @@ def test_classical_dist_validation():
 
 
 def test_qc_block_structure_check():
-    from entrobound.states import is_qc_block_diagonal
-
     rng = RngHandle(6)
     state, _ = sample_qc_pair(rng, 2, 3)
     assert is_qc_block_diagonal(qc_embed(state), 2, 3)
@@ -410,3 +410,23 @@ def test_qc_block_structure_check():
     assert not is_qc_block_diagonal(entangled, 2, 2)
     with pytest.raises(DimensionMismatchError):
         is_qc_block_diagonal(entangled, 2, 3)
+
+
+RHO_4 = make_density(np.eye(4) / 4)
+SPLIT_TAKERS = {
+    "conditional_entropy": lambda d_a, d_b: conditional_entropy(RHO_4, d_a, d_b),
+    "partial_trace_A": lambda d_a, d_b: partial_trace_A(RHO_4, d_a, d_b),
+    "is_qc_block_diagonal": lambda d_a, d_b: is_qc_block_diagonal(RHO_4, d_a, d_b),
+    "dense_state_to_json": lambda d_a, d_b: dense_state_to_json(RHO_4, d_a, d_b),
+    "classical_conditional_entropy":
+        lambda d_a, d_b: classical_conditional_entropy(np.full(4, 0.25), d_a, d_b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_TAKERS))
+@pytest.mark.parametrize("d_a, d_b", [(-2, -2), (2.0, 2.0), (True, 4), (4, True)])
+def test_every_split_goes_through_the_dimension_check(name, d_a, d_b):
+    # Each split multiplies out to the dimension 4, so only the integer check
+    # on d_A and d_B can reject it.
+    with pytest.raises(OutOfRangeError, match="dimension must be an integer >= 1"):
+        SPLIT_TAKERS[name](d_a, d_b)

@@ -1,0 +1,147 @@
+"""How often ``classify_pair`` is right on pairs whose class is known exactly.
+
+Each class is 2000 pairs over d = 2..6, each pair rotated by its own Haar
+unitary.  Where the class has an angle A, half the pairs draw it uniformly on
+(0, pi/2) and half log-uniformly up to 0.1, down to small A:
+
+- Equal: rho and a second rounding of the same ``U diag(p) U^dagger``;
+- Lower, rho singular: ``p = (a, b, 0, ...)`` and ``q = (a, 0, b, ...)``,
+  zero beyond, in one rotated basis, so ``T = b = 1 - F`` exactly (d >= 3,
+  A from 1e-4);
+- Upper, invertible: ``sigma = M rho M`` with ``spec(M) = {c, 1/c}``, built
+  by ``reciprocal_pair``, ``1 - c`` log-uniform on [1e-4, 0.8];
+- Upper, pure: two pure states at angle A (from 1e-6), where
+  ``sqrt(1 - F^2) = T``;
+- Neither: the Upper construction with one eigenvalue of ``M`` moved away
+  from 1 by a relative 1e-5 to 1e-2, and independent pairs.  None may
+  read Upper: since the verdict rests on ``spec(M)`` alone, this is what
+  keeps a near-reciprocal spectrum from passing.
+
+Two classes fail, each marked ``xfail(strict=True)`` with its measured count;
+ROADMAP items 4 and 5 fix them by mending the routes, not the thresholds.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import reciprocal_pair
+
+from entrobound import make_density
+from entrobound.fvdg import PairClass, classify_pair
+from entrobound.sampling import RngHandle, sample_haar_unitary, sample_simplex
+
+N_PAIRS = 2000
+
+
+def _rotated(u, p):
+    return make_density((u * p) @ u.conj().T)
+
+
+def _log_uniform(gen, lo, hi):
+    return float(np.exp(gen.uniform(np.log(lo), np.log(hi))))
+
+
+def _invertible_spectrum(rng, d):
+    return 0.9 * sample_simplex(rng, d).probs + 0.1 / d
+
+
+def _angle(gen, smallest):
+    """Uniform on (0, pi/2) or log-uniform on [smallest, 0.1], half and half."""
+    if gen.uniform() < 0.5:
+        return float(gen.uniform(0.0, np.pi / 2))
+    return _log_uniform(gen, smallest, 0.1)
+
+
+def equal_pair(rng, d):
+    u, p = sample_haar_unitary(rng, d), sample_simplex(rng, d).probs
+    return _rotated(u, p), make_density(u @ np.diag(p) @ u.conj().T)
+
+
+def lower_singular_pair(rng, d):
+    # F = a = cos A.  Below A = 1e-4, b = 1 - a nears EQUAL_TOL.
+    b = 1.0 - np.cos(_angle(rng.generator, 1e-4))
+    p, q = np.zeros(d), np.zeros(d)
+    p[0] = q[0] = 1.0 - b
+    p[1] = q[2] = b
+    u = sample_haar_unitary(rng, d)
+    return _rotated(u, p), _rotated(u, q)
+
+
+def upper_invertible_pair(rng, d, off=0.0):
+    """A pair with ``spec(M) = {c, 1/c}``, its last eigenvalue then moved a
+    relative ``off`` away from 1."""
+    gen = rng.generator
+    c = 1.0 - _log_uniform(gen, 1e-4, 0.8)
+    m = np.where(gen.permutation(d) < int(gen.integers(1, d)), c, 1.0 / c)
+    m[-1] *= 1.0 + off if m[-1] > 1.0 else 1.0 - off
+    v = sample_haar_unitary(rng, d)
+    base = np.diag(_invertible_spectrum(rng, d))
+    return tuple(map(make_density, reciprocal_pair(v, m, base)))
+
+
+def _pure_pair_at(rng, d, angle):
+    gen = rng.generator
+    psi = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    chi = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    chi -= (psi.conj() @ chi) * psi
+    chi /= np.linalg.norm(chi)
+    phi = np.cos(angle) * psi + np.sin(angle) * chi
+    return make_density(np.outer(psi, psi.conj())), make_density(np.outer(phi, phi.conj()))
+
+
+def upper_pure_pair(rng, d):
+    return _pure_pair_at(rng, d, _angle(rng.generator, 1e-6))
+
+
+def upper_pure_pair_below_1e_7(rng, d):
+    return _pure_pair_at(rng, d, _log_uniform(rng.generator, 1e-8, 1e-7))
+
+
+def neither_pair(rng, d):
+    gen = rng.generator
+    if gen.uniform() < 0.5:
+        return upper_invertible_pair(rng, d, _log_uniform(gen, 1e-5, 1e-2))
+    u, w = sample_haar_unitary(rng, d), sample_haar_unitary(rng, d)
+    return _rotated(u, _invertible_spectrum(rng, d)), _rotated(w, _invertible_spectrum(rng, d))
+
+
+def verdicts(build, seed, n=N_PAIRS, dims=range(2, 7)):
+    """The classes ``classify_pair`` gives ``n`` pairs of ``build``, d cycling."""
+    rng = RngHandle(seed)
+    return [classify_pair(*build(rng, dims[i % len(dims)])).pair_class for i in range(n)]
+
+
+def misclassified(classes, expected):
+    return sum(cls is not expected for cls in classes)
+
+
+@pytest.mark.parametrize("build, seed, expected", [
+    (equal_pair, 80, PairClass.EQUAL),
+    (upper_invertible_pair, 81, PairClass.UPPER_SATURATED),
+    (upper_pure_pair, 82, PairClass.UPPER_SATURATED),
+])
+def test_every_verdict_is_right(build, seed, expected):
+    assert misclassified(verdicts(build, seed), expected) == 0
+
+
+def test_no_neither_pair_reads_upper():
+    classes = verdicts(neither_pair, 83)
+    assert PairClass.UPPER_SATURATED not in classes
+    assert misclassified(classes, PairClass.NEITHER_SATURATED) == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: the fidelity's relative floor leaves |lower_gap| above "
+    "RESIDUAL_GAP_TOL on 8 of 2000 pairs, which read NeitherSaturated"))
+def test_lower_saturation_with_singular_rho():
+    classes = verdicts(lower_singular_pair, 9, dims=range(3, 7))
+    assert misclassified(classes, PairClass.LOWER_SATURATED) == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: sqrt(1 - F^2) cancels near F = 1, so 125 of 300 pure "
+    "pairs at A = 1e-8..1e-7 read NeitherSaturated"))
+def test_upper_saturation_of_pure_pairs_below_1e_7():
+    classes = verdicts(upper_pure_pair_below_1e_7, 10, n=300)
+    assert misclassified(classes, PairClass.UPPER_SATURATED) == 0

@@ -31,21 +31,33 @@ directory's name cut out.  The last is ``classify`` over the four
 ``CONSTRUCTED`` pair files, for verdicts the benchmark's files never
 produce.  Equal digests on two checkouts mean
 byte-identical output.  Run from anywhere; the package is imported from this
-checkout's ``src``, so running the script in each of two checkouts compares
-their ``src`` trees:
+checkout's ``src``:
 
     python tools/digests.py
+
+With ``--parent REV`` it also exports REV's ``src`` with ``git archive``
+into a temporary directory, imports the package from there, and prints
+each line with REV's digest and this checkout's, marking the lines that
+differ; it exits 1 if any does.  Both sides run on this checkout's inputs
+(``perfbench/workloads.py`` and ``tests/oracles.py``):
+
+    python tools/digests.py --parent HEAD~1
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import functools
 import hashlib
+import importlib
 import io
 import json
 import os
 import runpy
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -56,7 +68,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 sys.path.insert(0, str(ROOT / "tests"))
 
-from entrobound.cli import main as cli_main  # noqa: E402
 from oracles import chained_reciprocal_pair  # noqa: E402
 
 # run_path compiles the file without writing a bytecode cache next to it.
@@ -91,7 +102,7 @@ COMMANDS = [
 ]
 
 
-def stdout_of(argv: list[str]) -> str:
+def stdout_of(cli_main, argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main(argv)
@@ -104,7 +115,7 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def rejection_of(argv: list[str]) -> str:
+def rejection_of(cli_main, argv: list[str]) -> str:
     """Exit code and first stderr line of a call that must fail."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -141,8 +152,8 @@ def pair_file(rho: np.ndarray, sigma: np.ndarray) -> str:
 
 
 # Verdicts that the benchmark's files never produce: Lower and Neither from
-# the gap residuals, Upper with both gaps 0 (|0> and |1>), and Neither from
-# a failed commutator test.
+# the gap residuals, Upper with both gaps 0 (|0> and |1>), and Upper from a
+# spectrum of M that clusters to {c, 1/c} only through the clustering's slack.
 CONSTRUCTED = [
     pair_file(np.diag([0.5, 0.5, 0.0]), np.diag([0.5, 0.0, 0.5])),
     pair_file(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
@@ -151,16 +162,57 @@ CONSTRUCTED = [
 ]
 
 
-def main() -> int:
-    for argv in COMMANDS:
-        print(f"{' '.join(argv):<48} {digest(stdout_of(argv))}")
+def cli_main_from(src: Path):
+    """``entrobound.cli.main`` imported afresh from the package in ``src``."""
+    for name in [n for n in sys.modules if n == "entrobound" or n.startswith("entrobound.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        return importlib.import_module("entrobound.cli").main
+    finally:
+        sys.path.remove(str(src))
+
+
+def digest_lines(cli_main) -> list[tuple[str, str]]:
+    """The 27 (label, digest) pairs."""
+    stdout = functools.partial(stdout_of, cli_main)
+    lines = [(" ".join(argv), digest(stdout(argv))) for argv in COMMANDS]
     valid = benchmark_files([kind for kind, _ in WORKLOADS["VALID_KINDS"]])
-    print(f"{'classify (18 valid pair files)':<48} {digest(classify_text(valid, stdout_of))}")
-    rejects = classify_text(benchmark_files(WORKLOADS["INVALID_KINDS"]), rejection_of)
-    print(f"{'classify (5 invalid pair files, rejections)':<48} {digest(rejects)}")
-    constructed = classify_text(CONSTRUCTED, stdout_of)
-    print(f"{'classify (4 constructed pair files)':<48} {digest(constructed)}")
-    return 0
+    lines.append(("classify (18 valid pair files)", digest(classify_text(valid, stdout))))
+    rejects = classify_text(benchmark_files(WORKLOADS["INVALID_KINDS"]),
+                            functools.partial(rejection_of, cli_main))
+    lines.append(("classify (5 invalid pair files, rejections)", digest(rejects)))
+    constructed = classify_text(CONSTRUCTED, stdout)
+    lines.append(("classify (4 constructed pair files)", digest(constructed)))
+    return lines
+
+
+def parent_lines(rev: str) -> list[tuple[str, str]]:
+    """``digest_lines`` of the package in ``rev``'s ``src``, exported with git archive."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        return digest_lines(cli_main_from(Path(tmp) / "src"))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", metavar="REV",
+                        help="compare with the package in REV's src; exit 1 on any difference")
+    args = parser.parse_args(argv)
+    lines = digest_lines(cli_main_from(ROOT / "src"))
+    if args.parent is None:
+        for label, value in lines:
+            print(f"{label:<48} {value}")
+        return 0
+    differ = 0
+    for (label, before), (_, after) in zip(parent_lines(args.parent), lines):
+        differ += before != after
+        print(f"{label:<48} {before} {after}{'  DIFFERS' if before != after else ''}")
+    print(f"{differ} of {len(lines)} lines differ from {args.parent}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
