@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DimensionMismatchError, OutOfRangeError
 from .linalg import frozen
 from .states import (
-    ClassicalDist, DensityOperator, SqrtVector, check_dimension, make_classical,
+    ClassicalDist, DensityOperator, SqrtVector, check_dimension, check_real, make_classical,
     partial_trace_A, theta0,
 )
 
@@ -46,8 +46,7 @@ class LipschitzConstants:
 
     def majorant(self, x: float) -> float:
         """The piecewise concave upper bound ``f(x)`` for ``ln^2 x`` on x >= 1."""
-        if not 1.0 <= x < math.inf:
-            raise OutOfRangeError(f"majorant defined on x >= 1, got {x}")
+        x = check_real(x, 1.0, math.inf, "majorant's x", "[)")
         if x <= self.x0:
             return self.slope * (x - 1.0)
         return math.log(x) ** 2
@@ -94,8 +93,7 @@ def conditional_entropy(rho: DensityOperator, d_a: int, d_b: int) -> float:
 
 def binary_entropy(x: float) -> float:
     """``h(x) = -x ln x - (1-x) ln(1-x)`` on [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRangeError(f"binary entropy needs x in [0, 1], got {x}")
+    x = check_real(x, 0.0, 1.0, "binary entropy's x")
     return _entropy_of_probabilities(np.array([x, 1.0 - x]))
 
 
@@ -120,15 +118,11 @@ def winter_bound(trace_dist: float, d_a: int) -> float:
 
 
 def _check_trace_distance(trace_dist: float) -> float:
-    if not 0.0 <= trace_dist <= 1.0:
-        raise OutOfRangeError(f"trace distance {trace_dist} outside [0, 1]")
-    return float(trace_dist)
+    return check_real(trace_dist, 0.0, 1.0, "trace distance")
 
 
 def _check_angle(angle: float) -> float:
-    if not 0.0 <= angle <= math.pi / 2:
-        raise OutOfRangeError(f"angular distance {angle} outside [0, pi/2]")
-    return float(angle)
+    return check_real(angle, 0.0, math.pi / 2, "angular distance")
 
 
 def sekatski_bound(angle: float, d: int) -> float:
@@ -239,8 +233,7 @@ def hc_derivative(path: PathState, theta: float) -> float:
     is exactly +0 in ``v`` along the whole path, so it adds nothing to
     ``V_k`` and the ``v^2 > 0`` mask drops it from the sum.
     """
-    if not 0.0 < theta < path.theta0:
-        raise OutOfRangeError(f"theta {theta} outside (0, {path.theta0})")
+    theta = check_real(theta, 0.0, path.theta0, "theta", "()")
     vv = path.v(theta)
     ww = path.w(theta)
     sq = vv * vv

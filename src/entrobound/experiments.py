@@ -40,7 +40,7 @@ from .sampling import (
     check_sampler_angle,
     sample_qc_pair,
 )
-from .states import DensityOperator, QCState, check_dimension, trusted_density
+from .states import DensityOperator, QCState, check_dimension, check_real, trusted_density
 
 # Grid threshold above which a bound excess counts as a violation.
 VIOLATION_TOL = 1e-9
@@ -91,16 +91,22 @@ def family_pair(d_a: int, d_b: int, lam: float):
 
     rho is decomposed; sigma keeps rho's eigensystem (``_family_sigma``).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam}")
+    lam = check_real(lam, 0.0, 1.0, "lambda")
     rho = trusted_density(_entangled_projector(d_a, d_b))
     return rho, _family_sigma(rho, lam)
 
 
 def family_closed_form(d_a: int, d_b: int, lam: float) -> tuple[float, float]:
     """Closed forms for the angular distance and |entropy difference|."""
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRangeError(f"lambda must lie in [0, 1], got {lam}")
+    return _family_closed_form(d_a, d_b, check_real(lam, 0.0, 1.0, "lambda"))
+
+
+def _family_closed_form(d_a: int, d_b: int, lam: float) -> tuple[float, float]:
+    """``family_closed_form``'s body, for a float ``lam`` already in [0, 1].
+
+    ``counterexample_curve`` and ``counterexample_scan`` call it on their
+    grids, which are checked once, where they are built.
+    """
     d_m = min(d_a, d_b)
     d = d_a * d_b
     # lam in [0, 1] puts the fidelity's square in [1/d, 1].
@@ -123,9 +129,7 @@ def _lambda_grid(step: float) -> np.ndarray:
     step must divide 1 (1 / step within ``1e-9 * (1 / step)`` of an integer):
     a step such as 0.3 would otherwise be rounded to another grid silently.
     """
-    if not 0.0 < step <= 1.0:
-        raise OutOfRangeError(f"lambda step must lie in (0, 1], got {step}")
-    steps = 1.0 / step
+    steps = 1.0 / check_real(step, 0.0, 1.0, "lambda step", "(]")
     if steps > MAX_LAMBDA_STEPS + 0.5:  # round(steps) > MAX_LAMBDA_STEPS
         raise OutOfRangeError(f"lambda step {step} gives more than {MAX_LAMBDA_STEPS} grid steps")
     if abs(steps - round(steps)) > 1e-9 * steps:
@@ -206,9 +210,7 @@ def fig2_fixed_angle(
     ``classical_fidelity`` and ``classical_conditional_entropy``.
     """
     n_samples = check_dimension(n_samples, 1, "n_samples")
-    angles = sorted(angles) if angles else [i * 1e-6 for i in range(1, 11)]
-    for angle in angles:
-        check_sampler_angle(angle)
+    angles = sorted(map(check_sampler_angle, angles or [i * 1e-6 for i in range(1, 11)]))
     base = RngHandle(seed)
     u = lipschitz_u(d_a)
     dim = check_dimension(d_a * check_dimension(d_b), 2)
@@ -243,7 +245,7 @@ def counterexample_curve(d_a: int, d_b: int, lambda_step: float) -> Table:
     rows = []
     for lam in grid:
         lam = float(lam)
-        angle_cf, diff_cf = family_closed_form(d_a, d_b, lam)
+        angle_cf, diff_cf = _family_closed_form(d_a, d_b, lam)
         sigma = _family_sigma(rho, lam)
         angle_mx = angular_distance(rho, sigma)
         diff_mx = abs(entropy_rho - conditional_entropy(sigma, d_a, d_b))
@@ -275,7 +277,7 @@ def counterexample_scan(lambda_step: float) -> Table:
         for d_b in range(1, 11):
             def excess(grid: np.ndarray) -> np.ndarray:
                 return np.array([diff - u * angle for angle, diff in
-                                 (family_closed_form(d_a, d_b, float(l)) for l in grid)])
+                                 (_family_closed_form(d_a, d_b, float(l)) for l in grid)])
 
             # Grid points with a violation; a coarse grid with any is replaced
             # by the refined grid around them.

@@ -31,7 +31,7 @@ from .metrics import (
     check_pair,
     measure,
 )
-from .states import ClassicalDist, DensityOperator
+from .states import ClassicalDist, DensityOperator, is_real
 
 __all__ = [
     "PairClass", "SaturationClass", "SaturationReport", "PerturbationTrace",
@@ -333,7 +333,7 @@ def pure_fidelity_optimal(measurement: Rank1Measurement, rho_vec, sigma_vec) -> 
 
 
 def _unit_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = linalg.numeric_array(v, complex).reshape(-1)
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= 1e-8:
         raise OutOfRangeError(f"expected a unit vector, norm is {norm!r}")
@@ -361,9 +361,10 @@ def perturbation_trace(
     check_pair(rho, sigma)
     # measure checks the basis against rho.
     in_support = measure(measurement, rho).probs > 1e-12
-    deltas = tuple(float(d) for d in deltas)
-    if not deltas or any(not 0.0 < d < 1.0 for d in deltas):
-        raise InvalidDeltaError(f"deltas must lie in (0, 1), got {deltas}")
+    deltas = tuple(deltas)
+    if not deltas or not all(is_real(d) and 0.0 < d < 1.0 for d in deltas):
+        raise InvalidDeltaError(f"deltas must be reals in (0, 1), got {deltas}")
+    deltas = tuple(map(float, deltas))
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise InvalidDeltaError(f"deltas must be strictly descending, got {deltas}")
 

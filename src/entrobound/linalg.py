@@ -54,6 +54,23 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def numeric_array(x, dtype: type) -> np.ndarray:
+    """The package's one test of an outside array's entries, then ``x`` as ``dtype``.
+
+    Integer and float entries pass, and complex ones where ``dtype`` is
+    ``complex``.  Bools, strings, None, other objects and a ragged nest raise
+    ``OutOfRangeError``: ``np.asarray(x, dtype=dtype)`` alone would read
+    "0.5" and True as numbers.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # a ragged nest
+        raise OutOfRangeError(f"expected an array of numbers: {exc}") from exc
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise OutOfRangeError(f"expected {dtype.__name__} entries, got dtype {a.dtype}")
+    return np.asarray(a, dtype=dtype)
+
+
 def as_hermitian(m) -> np.ndarray:
     """Validate hermiticity and return the symmetrized copy ``(m + m†)/2``.
 
@@ -62,9 +79,10 @@ def as_hermitian(m) -> np.ndarray:
     Symmetrizing absorbs rounding noise from upstream arithmetic; a symmetry
     residual beyond ``HERMITICITY_TOL`` (relative to the largest entry) is a
     genuinely non-Hermitian input and is rejected, as is any NaN or inf, and
-    any entry of modulus above ``MAX_ENTRY``.
+    any entry of modulus above ``MAX_ENTRY``, and any entry that
+    ``numeric_array`` rejects.
     """
-    m = np.asarray(m, dtype=complex)
+    m = numeric_array(m, complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
     # A NaN residual compares false and would pass the test below.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotOrthonormalError
-from .linalg import frozen, root_product
+from .linalg import frozen, numeric_array, root_product
 from .states import ClassicalDist, DensityOperator, trusted_classical
 
 __all__ = [
@@ -55,8 +55,11 @@ class Rank1Measurement:
 
 
 def make_measurement(vectors) -> Rank1Measurement:
-    """Validate basis orthonormality via the Gram-matrix residual."""
-    b = np.asarray(vectors, dtype=complex)
+    """Validate basis orthonormality via the Gram-matrix residual.
+
+    The entries pass ``linalg.numeric_array`` first: numbers only.
+    """
+    b = numeric_array(vectors, complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square basis matrix, got {b.shape}")
     # A NaN or inf entry makes the residual NaN, which `>` would let through;

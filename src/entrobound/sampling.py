@@ -14,6 +14,7 @@ from .states import (
     DensityOperator,
     QCState,
     check_dimension,
+    check_real,
     is_integer,
     trusted_classical,
 )
@@ -92,10 +93,9 @@ def sample_qc_pair(rng: RngHandle, d_a: int, d_b: int) -> tuple[QCState, QCState
     return _sample_qc_state(rng, d_a, d_b), _sample_qc_state(rng, d_a, d_b)
 
 
-def check_sampler_angle(angle: float) -> None:
+def check_sampler_angle(angle: float) -> float:
     """The one check of an angle for ``sample_classical_pair_at_angle``: in (0, pi/2)."""
-    if not 0.0 < angle < np.pi / 2:
-        raise OutOfRangeError(f"angle must lie in (0, pi/2), got {angle}")
+    return check_real(angle, 0.0, math.pi / 2, "angle", "()")
 
 
 def sample_classical_pair_at_angle(
@@ -112,7 +112,7 @@ def sample_classical_pair_at_angle(
     is resampled internally and never counts as a rejection.
     """
     d = check_dimension(d, 2)
-    check_sampler_angle(angle)
+    angle = check_sampler_angle(angle)
     max_rejects = check_dimension(max_rejects, 1, "max_rejects")
     p, q = _classical_pair_at_angle(rng, d, angle, max_rejects)
     return trusted_classical(p), trusted_classical(q)

@@ -9,8 +9,8 @@ convention.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +52,29 @@ def check_dimension(d, least: int = 1, what: str = "dimension") -> int:
     if not is_integer(d) or d < least:
         raise OutOfRangeError(f"{what} must be an integer >= {least}, got {d!r}")
     return int(d)
+
+
+def is_real(x) -> bool:
+    """The package's one test of an outside real: a Python or numpy integer or float.
+
+    Bools, complex numbers, fractions, strings, None and arrays fail it.
+    """
+    return not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
+
+
+def check_real(x, lo: float, hi: float, what: str, ends: str = "[]") -> float:
+    """The package's one check of an outside real: ``x`` in an interval, as a float.
+
+    ``ends`` is "[]", "()", "(]" or "[)", the interval's brackets around
+    ``lo`` and ``hi``.  ``is_real`` decides what counts as a real, and ``x``
+    is compared before it is converted: NaN fails every interval, inf fails
+    one open at infinity, and an int too large for a float fails as well.
+    """
+    if is_real(x) and (lo < x or x == lo and ends[0] == "[") and (
+            x < hi or x == hi and ends[1] == "]"):
+        with contextlib.suppress(OverflowError):
+            return float(x)
+    raise OutOfRangeError(f"{what} must be a real in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {x!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,23 +151,20 @@ class QCState:
 
 
 def make_qc_state(blocks) -> QCState:
-    """Validate block weights and conditional dimensions.
+    """Validate conditional dimensions, and the block weights with ``make_classical``.
 
-    Weights within ``WEIGHT_TOL`` below zero are stored as 0.
+    So the weights are a probability vector, and those within ``WEIGHT_TOL``
+    below zero are stored as 0.
     """
-    blocks = tuple((float(w), rho) for w, rho in blocks)
+    blocks = tuple(blocks)
     if not blocks:
         raise DimensionMismatchError("QC state needs at least one block")
     d_a = blocks[0][1].dim
-    for w, rho in blocks:
+    for _, rho in blocks:
         if rho.dim != d_a:
             raise DimensionMismatchError(f"conditional dims differ: {rho.dim} vs {d_a}")
-        if not math.isfinite(w) or w < -WEIGHT_TOL:
-            raise OutOfRangeError(f"block weight {w!r} is negative or not finite")
-    total = sum(w for w, _ in blocks)
-    if abs(total - 1.0) > TRACE_TOL:
-        raise TraceNotOneError(f"block weights sum to {total!r}")
-    return QCState(tuple((max(w, 0.0), rho) for w, rho in blocks))
+    weights = make_classical([w for w, _ in blocks]).probs.tolist()
+    return QCState(tuple((w, rho) for w, (_, rho) in zip(weights, blocks)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +179,11 @@ class ClassicalDist:
 
 
 def make_classical(p) -> ClassicalDist:
-    """Validate ``p`` as a probability vector (finite, nonnegative, sum 1)."""
-    p = np.asarray(p, dtype=float)
+    """Validate ``p`` as a probability vector (finite, nonnegative, sum 1).
+
+    Its entries pass ``linalg.numeric_array``: integers and floats only.
+    """
+    p = linalg.numeric_array(p, float)
     if p.ndim != 1 or p.size < 1:
         raise DimensionMismatchError(f"expected a probability vector, got shape {p.shape}")
     if not np.isfinite(p).all():
@@ -205,9 +228,12 @@ def qc_embed(state: QCState) -> DensityOperator:
     return trusted_density(out)
 
 
-def _check_split(rho: DensityOperator, d_a: int, d_b: int) -> None:
-    if rho.dim != check_dimension(d_a) * check_dimension(d_b):
+def _check_split(rho: DensityOperator, d_a: int, d_b: int) -> tuple[int, int]:
+    """``check_dimension``'s ``(d_A, d_B)``, after checking that they split rho's dimension."""
+    d_a, d_b = check_dimension(d_a), check_dimension(d_b)
+    if rho.dim != d_a * d_b:
         raise DimensionMismatchError(f"dim {rho.dim} != {d_a} * {d_b}")
+    return d_a, d_b
 
 
 def partial_trace_A(rho: DensityOperator, d_a: int, d_b: int) -> DensityOperator:
@@ -310,7 +336,7 @@ def qc_state_to_json(state: QCState) -> dict:
 
 
 def dense_state_to_json(rho: DensityOperator, d_a: int, d_b: int) -> dict:
-    _check_split(rho, d_a, d_b)
+    d_a, d_b = _check_split(rho, d_a, d_b)
     return {"dim_a": d_a, "dim_b": d_b, "kind": "dense", "matrix": _matrix_to_json(rho.matrix)}
 
 

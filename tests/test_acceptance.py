@@ -16,7 +16,9 @@ import pytest
 from conftest import rand_invertible_density, rand_pure_density
 from oracles import u_oracle, u_star_oracle
 
-from entrobound.experiments import counterexample_scan, family_closed_form, family_pair
+from entrobound.experiments import (
+    counterexample_scan, family_closed_form, family_pair, fig2_fixed_angle,
+)
 from entrobound.entropy import (
     LIPSCHITZ,
     classical_conditional_entropy,
@@ -177,6 +179,24 @@ def test_criterion_4_small_angle_supremum_is_below_its_threshold():
     assert abs(t_star - mpmath.mpf("0.0832217201995")) < 1e-12
     assert 0.8235 <= sup < 0.8236
     assert sup < 0.9
+
+
+def _false_violation(d_a, d_b, angle, count):
+    return pytest.param(d_a, d_b, angle, marks=pytest.mark.xfail(strict=True, reason=(
+        f"ROADMAP item 14: fig2 measures A as acos F, which reads 0 once F rounds "
+        f"to 1; {count} of 200 rows at {d_a}x{d_b}, A = {angle:g}, read angular 0 "
+        f"and entropy_diff > bound")))
+
+
+@pytest.mark.parametrize("d_a, d_b, angle", [
+    _false_violation(2, 2, 1e-9, 141), _false_violation(2, 2, 1e-8, 133),
+    _false_violation(8, 2, 1e-9, 121), _false_violation(8, 2, 1e-8, 119),
+])
+def test_fig2_shows_no_violation_below_1e_7(d_a, d_b, angle):
+    # The bound holds for every pair the sampler draws; a row over it is an
+    # error in the measured angle.
+    _, rows = fig2_fixed_angle(d_a, d_b, 200, 3, angles=(angle,))
+    assert not [row for row in rows if row[1] > row[2]]
 
 
 def test_criterion_5_violation_scan():

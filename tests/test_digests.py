@@ -23,9 +23,10 @@ def test_parent_head_matches_every_line():
         pytest.skip("not a git checkout")
     if _git("status", "--porcelain", "--", "src"):
         pytest.skip("src has uncommitted changes, so HEAD's src is not this tree's")
-    run = subprocess.run([sys.executable, str(DIGESTS), "--parent", "HEAD"],
+    run = subprocess.run([sys.executable, str(DIGESTS), "--parent", "HEAD", "--files", "5"],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1] == "0 of 27 lines differ from HEAD"
-    assert len(lines) == 28 and not any(line.endswith("DIFFERS") for line in lines)
+    assert lines[-1] == "0 of 28 lines differ from HEAD"
+    assert lines[-2].startswith("classify (30 generated pair files, all outcomes)")
+    assert len(lines) == 29 and not any(line.endswith("DIFFERS") for line in lines)

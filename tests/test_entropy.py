@@ -200,7 +200,7 @@ class TestLipschitzConstants:
 
     def test_majorant_domain(self):
         for x in (0.5, float("nan"), float("inf")):
-            with pytest.raises(OutOfRangeError, match="majorant defined on x >= 1"):
+            with pytest.raises(OutOfRangeError, match=r"^majorant's x must be a real in \[1, inf\)"):
                 LIPSCHITZ.majorant(x)
 
 

@@ -430,3 +430,9 @@ def test_every_split_goes_through_the_dimension_check(name, d_a, d_b):
     # on d_A and d_B can reject it.
     with pytest.raises(OutOfRangeError, match="dimension must be an integer >= 1"):
         SPLIT_TAKERS[name](d_a, d_b)
+
+
+def test_json_header_holds_python_ints():
+    # json.dumps rejects an np.int64; the header takes check_dimension's ints.
+    blob = dense_state_to_json(RHO_4, np.int64(2), np.int64(2))
+    assert json.loads(json.dumps(blob))["dim_a"] == 2 and type(blob["dim_b"]) is int

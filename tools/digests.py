@@ -30,7 +30,15 @@ one's exit code and first stderr line concatenated and the temporary
 directory's name cut out.  The last is ``classify`` over the four
 ``CONSTRUCTED`` pair files, for verdicts the benchmark's files never
 produce.  Equal digests on two checkouts mean
-byte-identical output.  Run from anywhere; the package is imported from this
+byte-identical output.
+
+With ``--files N`` it prints one more line: ``classify`` over N pair files
+at each of the seeds 0 to 5, made in order by ``make_pair_file`` of
+``np.random.default_rng(seed)`` for the kinds ``pair_kinds(N)`` of
+``perfbench/workloads.py``, with each call's exit code, stdout and stderr
+concatenated and the temporary directory's name cut out.  A malformed
+file's message carries its path, so without the cut no two runs would
+agree.  Run from anywhere; the package is imported from this
 checkout's ``src``:
 
     python tools/digests.py
@@ -41,7 +49,7 @@ each line with REV's digest and this checkout's, marking the lines that
 differ; it exits 1 if any does.  Both sides run on this checkout's inputs
 (``perfbench/workloads.py`` and ``tests/oracles.py``):
 
-    python tools/digests.py --parent HEAD~1
+    python tools/digests.py --parent HEAD~1 --files 400
 """
 
 from __future__ import annotations
@@ -125,6 +133,14 @@ def rejection_of(cli_main, argv: list[str]) -> str:
     return f"{code} {err.getvalue().splitlines()[0]}\n"
 
 
+def outcome_of(cli_main, argv: list[str]) -> str:
+    """Exit code, stdout and stderr of a call, whatever its outcome."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return f"{code}\n{out.getvalue()}{err.getvalue()}"
+
+
 def classify_text(texts: list[str], run) -> str:
     """``run(["classify", path])`` over a pair file of each text, concatenated."""
     outputs = []
@@ -137,9 +153,15 @@ def classify_text(texts: list[str], run) -> str:
     return "".join(outputs)
 
 
-def benchmark_files(kinds: list[str]) -> list[str]:
-    rng = np.random.default_rng(int(SEED))
+def benchmark_files(kinds: list[str], seed: int = int(SEED)) -> list[str]:
+    rng = np.random.default_rng(seed)
     return [WORKLOADS["make_pair_file"](rng, kind) for kind in kinds]
+
+
+def generated_files(n_files: int) -> list[str]:
+    """``n_files`` pair files of ``pair_kinds`` at each of the seeds 0 to 5."""
+    kinds = [kind for kind, _ in WORKLOADS["pair_kinds"](n_files)]
+    return [text for seed in range(6) for text in benchmark_files(kinds, seed)]
 
 
 def pair_file(rho: np.ndarray, sigma: np.ndarray) -> str:
@@ -173,8 +195,8 @@ def cli_main_from(src: Path):
         sys.path.remove(str(src))
 
 
-def digest_lines(cli_main) -> list[tuple[str, str]]:
-    """The 27 (label, digest) pairs."""
+def digest_lines(cli_main, n_files: int = 0) -> list[tuple[str, str]]:
+    """The 27 (label, digest) pairs, and the generated files' pair if ``n_files``."""
     stdout = functools.partial(stdout_of, cli_main)
     lines = [(" ".join(argv), digest(stdout(argv))) for argv in COMMANDS]
     valid = benchmark_files([kind for kind, _ in WORKLOADS["VALID_KINDS"]])
@@ -184,31 +206,37 @@ def digest_lines(cli_main) -> list[tuple[str, str]]:
     lines.append(("classify (5 invalid pair files, rejections)", digest(rejects)))
     constructed = classify_text(CONSTRUCTED, stdout)
     lines.append(("classify (4 constructed pair files)", digest(constructed)))
+    if n_files:
+        outcomes = classify_text(generated_files(n_files), functools.partial(outcome_of, cli_main))
+        lines.append((f"classify ({6 * n_files} generated pair files, all outcomes)",
+                      digest(outcomes)))
     return lines
 
 
-def parent_lines(rev: str) -> list[tuple[str, str]]:
+def parent_lines(rev: str, n_files: int = 0) -> list[tuple[str, str]]:
     """``digest_lines`` of the package in ``rev``'s ``src``, exported with git archive."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
                              capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
-        return digest_lines(cli_main_from(Path(tmp) / "src"))
+        return digest_lines(cli_main_from(Path(tmp) / "src"), n_files)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", metavar="REV",
                         help="compare with the package in REV's src; exit 1 on any difference")
+    parser.add_argument("--files", metavar="N", type=int, default=0,
+                        help="add classify's outcomes over N generated pair files per seed 0-5")
     args = parser.parse_args(argv)
-    lines = digest_lines(cli_main_from(ROOT / "src"))
+    lines = digest_lines(cli_main_from(ROOT / "src"), args.files)
     if args.parent is None:
         for label, value in lines:
             print(f"{label:<48} {value}")
         return 0
     differ = 0
-    for (label, before), (_, after) in zip(parent_lines(args.parent), lines):
+    for (label, before), (_, after) in zip(parent_lines(args.parent, args.files), lines):
         differ += before != after
         print(f"{label:<48} {before} {after}{'  DIFFERS' if before != after else ''}")
     print(f"{differ} of {len(lines)} lines differ from {args.parent}")
